@@ -11,10 +11,12 @@ static-scene assumption on purpose (exposure jitter, read noise).
 
 Randomness is counter-based: every variate is a pure function of
 (seed, capture_index, pixel_index, draw_index) through the splitmix64
-mixing function, so output never depends on evaluation or chunking order
-and captures reproduce exactly across platforms. The draw for pixel i,
-draw j is mix64(base + (i+1)*GAMMA + (j+1)*DELTA); the stride constants
-are audited so no two (i, j) pairs of one capture collide.
+mixing function of `rng`, so output never depends on evaluation or
+chunking order and captures reproduce exactly across platforms. The draw
+for pixel i, draw j is mix64(base + (i+1)*GAMMA + (j+1)*DELTA); the
+stride constants are audited so no two (i, j) pairs of one capture
+collide. The per-capture bases and exposure factors come from the salted
+streams of the sensor seed (`rng.CAPTURE_SALT`, `rng.JITTER_SALT`).
 
 Sampling is exact Knuth inversion below lambda = 60 and the rounded normal
 approximation N(lambda, lambda) above, where the approximation error is
@@ -30,14 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import (
-    CAPTURE_SALT,
-    JITTER_SALT,
-    MASK64,
-    READNOISE_SALT,
-    SPLITMIX64_GAMMA,
-    splitmix64_mix,
-)
+from . import rng
 from .imageio import RawImage
 
 NORMAL_APPROX_THRESHOLD = 60.0
@@ -47,11 +42,6 @@ _CHUNK = 1 << 22  # pixels per processing slab (even), bounds peak memory
 # Second stride for the draw index; with |draw delta| <= 600 the nearest
 # pixel-index alias sits at |di| ~ 3.4e15, far outside any image.
 DRAW_DELTA = 0xD1342543DE82EF95
-POISSON_SMALL_SALT = 0x510E527FADE682D1  # keeps the Knuth stream independent
-
-_U64_GAMMA = np.uint64(SPLITMIX64_GAMMA)
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
 _INV_2_40 = np.float32(2.0 ** -40)  # uniforms keep the top 40 bits
 
 
@@ -96,7 +86,7 @@ class SensorConfig:
             raise ValueError("read_noise_sigma must be >= 0")
         if not (0 <= self.exposure_jitter_fraction < 1):
             raise ValueError("exposure_jitter_fraction must be in [0, 1)")
-        self.seed = self.seed & MASK64
+        self.seed = self.seed & rng.MASK64
 
 
 def make_scene(width: int, height: int, pattern: str, mean_level: float) -> SceneRadiance:
@@ -138,23 +128,10 @@ def make_scene(width: int, height: int, pattern: str, mean_level: float) -> Scen
 # counter-based sampling
 # ---------------------------------------------------------------------------
 
-def _mix_words(state: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, in place on a uint64 working array."""
-    t = state >> np.uint64(30)
-    state ^= t
-    state *= _M1
-    np.right_shift(state, np.uint64(27), out=t)
-    state ^= t
-    state *= _M2
-    np.right_shift(state, np.uint64(31), out=t)
-    state ^= t
-    return state
-
-
 def _uniforms(base: int, idx: np.ndarray, draw: int) -> np.ndarray:
     """Uniform floats in (0, 1] for (counter idx, draw) under a stream base."""
-    offset = np.uint64((base + (draw + 1) * DRAW_DELTA) & MASK64)
-    words = _mix_words((idx + np.uint64(1)) * _U64_GAMMA + offset)
+    offset = np.uint64((base + (draw + 1) * DRAW_DELTA) & rng.MASK64)
+    words = rng.mix_words((idx + np.uint64(1)) * np.uint64(rng.GAMMA) + offset)
     u = (words >> np.uint64(24)).astype(np.float32)
     u += np.float32(1.0)
     u *= _INV_2_40
@@ -212,11 +189,9 @@ def capture(scene: SceneRadiance, sensor: SensorConfig, capture_index: int) -> R
     """
     n = scene.width * scene.height
     jitter = exposure_factor(sensor, capture_index)
-    base = splitmix64_mix(
-        (sensor.seed ^ CAPTURE_SALT) + ((capture_index + 1) * SPLITMIX64_GAMMA & MASK64)
-    )
-    noise_base = splitmix64_mix(base ^ READNOISE_SALT)
-    knuth_base = splitmix64_mix(base ^ POISSON_SMALL_SALT)
+    base = rng.mix((sensor.seed ^ rng.CAPTURE_SALT) + (capture_index + 1) * rng.GAMMA)
+    noise_base = rng.mix(base ^ rng.READNOISE_SALT)
+    knuth_base = rng.mix(base ^ rng.POISSON_SMALL_SALT)
     lam_flat = scene.lam.reshape(-1) * jitter
     out = np.empty(n, dtype=np.uint16)
     sigma_r = sensor.read_noise_sigma
@@ -257,9 +232,7 @@ def exposure_factor(sensor: SensorConfig, capture_index: int) -> float:
     f = sensor.exposure_jitter_fraction
     if f == 0:
         return 1.0
-    word = splitmix64_mix(
-        (sensor.seed ^ JITTER_SALT) + ((capture_index + 1) * SPLITMIX64_GAMMA & MASK64)
-    )
+    word = rng.mix((sensor.seed ^ rng.JITTER_SALT) + (capture_index + 1) * rng.GAMMA)
     u = (word >> 11) * 2.0 ** -53
     return 1.0 - f + 2.0 * f * u
 

@@ -35,9 +35,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _write_atomic(path: str, data: bytes) -> None:
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    fh = open(tmp, "wb")  # if this fails, there is no temp file to remove
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _read_file(path: str) -> bytes:
@@ -122,13 +127,17 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_capture(args) -> int:
+def _scene_and_sensor(args):
     scene = make_scene(args.width, args.height, args.pattern, args.mean_level)
     sensor = SensorConfig(full_well=args.full_well,
                           read_noise_sigma=args.read_noise_sigma,
                           exposure_jitter_fraction=args.exposure_jitter_fraction,
                           seed=args.seed)
-    key, cover = capture_pair(scene, sensor)
+    return scene, sensor
+
+
+def _cmd_capture(args) -> int:
+    key, cover = capture_pair(*_scene_and_sensor(args))
     key_bytes, cover_bytes = write_pgm16(key), write_pgm16(cover)
     _write_atomic(args.key_out, key_bytes)
     _write_atomic(args.cover_out, cover_bytes)
@@ -193,12 +202,7 @@ def _cmd_demo_lsb(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    scene = make_scene(args.width, args.height, args.pattern, args.mean_level)
-    sensor = SensorConfig(full_well=args.full_well,
-                          read_noise_sigma=args.read_noise_sigma,
-                          exposure_jitter_fraction=args.exposure_jitter_fraction,
-                          seed=args.seed)
-    cal = statcheck.build_calibration(scene, sensor, runs=args.runs,
+    cal = statcheck.build_calibration(*_scene_and_sensor(args), runs=args.runs,
                                       bin_width=args.bin_width)
     _write_atomic(args.calibration_out, statcheck.write_calibration(cal))
     print(f"calibrated {args.runs} runs -> {args.calibration_out}")
@@ -220,10 +224,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.subcommand](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except CodecError as exc:
+    except (UsageError, CodecError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (OSError, PgmFormatError, CalibrationError) as exc:

@@ -13,10 +13,13 @@ implementations interoperate:
     with `parity` Reed-Solomon bytes over GF(2^8), primitive polynomial
     0x11D, generator alpha=2, systematic, parity roots alpha^0..alpha^(t-1).
   * mixing permutation: backward Fisher-Yates driven by the splitmix64
-    stream of the mixing seed, bounded draws by rejection sampling.
-  * filler: splitmix64 stream of (mixing_seed XOR FILLER_SALT), 64-bit
+    stream of the mixing seed (`rng`), bounded draws by rejection sampling.
+  * filler: splitmix64 stream of (mixing_seed XOR rng.FILLER_SALT), 64-bit
     words consumed MSB-first, written into unoccupied bit positions in
     increasing position order.
+
+The receiver does not know where the coded data ends among the filler;
+`rs_decode_stream` recovers the length from the framed header.
 """
 
 from __future__ import annotations
@@ -26,19 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MASK64 = (1 << 64) - 1
-
-# splitmix64 constants (Steele, Lea & Flood's SplittableRandom finalizer).
-SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
-SPLITMIX64_MULT1 = 0xBF58476D1CE4E5B9
-SPLITMIX64_MULT2 = 0x94D049BB133111EB
-
-# Domain-separation salts (SHA-512 initial hash words; any fixed odd-ish
-# constants would do, these are published nothing-up-my-sleeve numbers).
-FILLER_SALT = 0x6A09E667F3BCC908
-CAPTURE_SALT = 0xBB67AE8584CAA73B
-JITTER_SALT = 0x3C6EF372FE94F82B
-READNOISE_SALT = 0xA54FF53A5F1D36F1
+from . import rng
 
 
 class CodecError(ValueError):
@@ -48,58 +39,6 @@ class CodecError(ValueError):
 class DecodeError(ValueError):
     """Coded data could not be decoded: uncorrectable block, inconsistent
     framing, or CRC mismatch. Deliberately loud; a wrong key lands here."""
-
-
-# ---------------------------------------------------------------------------
-# splitmix64
-# ---------------------------------------------------------------------------
-
-def splitmix64_mix(z: int) -> int:
-    """The splitmix64 output (avalanche) function on a 64-bit integer."""
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * SPLITMIX64_MULT1) & MASK64
-    z = ((z ^ (z >> 27)) * SPLITMIX64_MULT2) & MASK64
-    return z ^ (z >> 31)
-
-
-def splitmix64_mix_array(z: np.ndarray) -> np.ndarray:
-    """Vectorised splitmix64_mix over a uint64 array (wrapping arithmetic)."""
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(SPLITMIX64_MULT1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(SPLITMIX64_MULT2)
-    z ^= z >> np.uint64(31)
-    return z
-
-
-class SplitMix64:
-    """Sequential splitmix64 stream.
-
-    The n-th output (n >= 1) equals splitmix64_mix(seed + n * GAMMA), so the
-    sequential stream and counter-based evaluation agree exactly.
-    """
-
-    def __init__(self, seed: int):
-        self._state = seed & MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + SPLITMIX64_GAMMA) & MASK64
-        return splitmix64_mix(self._state)
-
-    def next_below(self, bound: int) -> int:
-        """Unbiased draw in [0, bound) by rejection sampling.
-
-        Accept v < 2**64 - (2**64 mod bound), return v mod bound. This exact
-        rule is part of the permutation's bit-exact contract.
-        """
-        if bound <= 0:
-            raise CodecError("bound must be positive")
-        threshold = (1 << 64) - ((1 << 64) % bound)
-        while True:
-            v = self.next_u64()
-            if v < threshold:
-                return v % bound
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +274,33 @@ def rs_decode(coded: bytes, parity_symbols: int) -> bytes:
     return payload
 
 
+def rs_decode_stream(stream: bytes, parity_symbols: int) -> bytes:
+    """Decode a coded stream of unknown length followed by filler bytes.
+
+    A stream of at least one full block: correct the first block, read the
+    framed length, then decode exactly that prefix. Failing that, try every
+    layout shorter than one block. Raises DecodeError when nothing decodes
+    (wrong key, wrong plan, or damage beyond the correction budget).
+    """
+    _check_parity(parity_symbols)
+    stream = bytes(stream)
+    if len(stream) >= 255:
+        try:
+            first = _rs_correct_block(stream[:255], parity_symbols)
+            need = coded_length(int.from_bytes(first[0:4], "big"), parity_symbols)
+            if 255 <= need <= len(stream):
+                return rs_decode(stream[:need], parity_symbols)
+        except DecodeError:
+            pass
+    for need in range(8 + parity_symbols, min(255, len(stream)) + 1):
+        try:
+            return rs_decode(stream[:need], parity_symbols)
+        except DecodeError:
+            continue
+    raise DecodeError("no decodable payload found (wrong key, wrong plan, "
+                      "or damage beyond the correction budget)")
+
+
 def coded_length(payload_length: int, parity_symbols: int) -> int:
     """Coded byte count for a payload of the given length."""
     _check_parity(parity_symbols)
@@ -348,19 +314,41 @@ def coded_length(payload_length: int, parity_symbols: int) -> int:
 # Keyed mixing permutation and bit scatter/gather
 # ---------------------------------------------------------------------------
 
+def _draws_below(seed: int, bounds: np.ndarray) -> np.ndarray:
+    """One unbiased draw in [0, b) per bound b, in order, from the splitmix64
+    stream of `seed`.
+
+    An output v is accepted iff v < 2**64 - (2**64 mod b) and gives v mod b;
+    a rejected output is skipped and the next one tried for the same bound.
+    This exact rule is part of the permutation's bit-exact contract.
+    """
+    bounds = np.asarray(bounds, dtype=np.uint64)
+    # 2**64 mod b is (0 - b) mod b in uint64; v > limit is a rejection.
+    limits = np.uint64(rng.MASK64) - (np.uint64(0) - bounds) % bounds
+    draws = np.empty(len(bounds), dtype=np.uint64)
+    done, first = 0, 1
+    while done < len(bounds):
+        v = rng.outputs(seed, first, len(bounds) - done)
+        rejected = np.flatnonzero(v > limits[done:])
+        ok = int(rejected[0]) if len(rejected) else len(v)
+        draws[done:done + ok] = v[:ok] % bounds[done:done + ok]
+        done += ok
+        first += ok + 1
+    return draws
+
+
 def mixing_permutation(slot_count: int, mixing_seed: int) -> np.ndarray:
     """Fisher-Yates shuffle of the identity permutation of byte slots.
 
-    Driven by the sequential splitmix64 stream of `mixing_seed`, iterating
+    Driven by the splitmix64 stream of `mixing_seed`, iterating
     i = slot_count-1 .. 1 and swapping with an unbiased draw in [0, i].
     Bit-exact across implementations; see tests/golden for frozen vectors.
     """
     if slot_count < 1:
         raise CodecError("slot_count must be >= 1")
     perm = list(range(slot_count))
-    rng = SplitMix64(mixing_seed)
-    for i in range(slot_count - 1, 0, -1):
-        j = rng.next_below(i + 1)
+    draws = _draws_below(mixing_seed, np.arange(slot_count, 1, -1, dtype=np.uint64))
+    for i, j in zip(range(slot_count - 1, 0, -1), draws.tolist()):
         perm[i], perm[j] = perm[j], perm[i]
     return np.asarray(perm, dtype=np.int64)
 
@@ -371,13 +359,8 @@ def keyed_filler_bits(count: int, seed: int) -> np.ndarray:
     64-bit words of splitmix64(seed XOR FILLER_SALT), consumed MSB-first.
     Statistically a fair coin; keyed so outputs are reproducible.
     """
-    if count == 0:
-        return np.zeros(0, dtype=np.uint8)
-    rng = SplitMix64(seed ^ FILLER_SALT)
-    n_words = -(-count // 64)
-    words = np.array([rng.next_u64() for _ in range(n_words)], dtype=np.uint64)
-    bits = np.unpackbits(words.astype(">u8").view(np.uint8))  # MSB-first per word
-    return bits[:count]
+    words = rng.outputs(seed ^ rng.FILLER_SALT, 1, -(-count // 64))
+    return np.unpackbits(words.astype(">u8").view(np.uint8))[:count]  # MSB-first per word
 
 
 def scatter(coded: bytes, perm: np.ndarray, capacity_bits: int, mixing_seed: int) -> np.ndarray:

@@ -2,9 +2,8 @@
 
 Sender: frame + Reed-Solomon + keyed byte mixing + filler padding, then
 pixel-selection embedding. Receiver: key comparison, unmixing, correction,
-CRC check. The receiver does not need the payload length up front: it
-recovers the framing header from the first Reed-Solomon block (trying the
-short-single-block layouts if the stream is smaller than one full block).
+CRC check. The receiver does not need the payload length up front:
+`codec.rs_decode_stream` recovers it from the framed header.
 """
 
 from __future__ import annotations
@@ -69,35 +68,13 @@ def extract_message(stego_image: RawImage, key: RawImage,
     if slots < 1:
         raise DecodeError("image has no usable byte capacity")
     perm = codec.mixing_permutation(slots, mixing_seed)
-    bits = stego.extract(stego_image, key, params).bits
-
-    if payload_length is not None:
-        need = codec.coded_length(payload_length, parity_symbols)
-        if need > slots:
-            raise DecodeError("declared payload does not fit this image")
-        payload = codec.rs_decode(codec.gather(bits, perm, need), parity_symbols)
-        if len(payload) != payload_length:
-            raise DecodeError("recovered payload length does not match declaration")
-        return payload
-
-    # Length discovery. A stream of at least one full block: correct the
-    # first block, read the framed length, then decode the exact stream.
-    if slots >= 255:
-        try:
-            first = codec.gather(bits, perm, 255)
-            corrected = codec._rs_correct_block(first, parity_symbols)
-            length = int.from_bytes(corrected[0:4], "big")
-            need = codec.coded_length(length, parity_symbols)
-            if 255 <= need <= slots:
-                return codec.rs_decode(codec.gather(bits, perm, need), parity_symbols)
-        except DecodeError:
-            pass
-    # Shorter than one block: scan the few possible single-block layouts.
-    top = min(255, slots)
-    for need in range(8 + parity_symbols, top + 1):
-        try:
-            return codec.rs_decode(codec.gather(bits, perm, need), parity_symbols)
-        except DecodeError:
-            continue
-    raise DecodeError("no decodable payload found (wrong key, wrong plan, "
-                      "or damage beyond the correction budget)")
+    stream = codec.gather(stego.extract(stego_image, key, params).bits, perm, slots)
+    if payload_length is None:
+        return codec.rs_decode_stream(stream, parity_symbols)
+    need = codec.coded_length(payload_length, parity_symbols)
+    if need > slots:
+        raise DecodeError("declared payload does not fit this image")
+    payload = codec.rs_decode(stream[:need], parity_symbols)
+    if len(payload) != payload_length:
+        raise DecodeError("recovered payload length does not match declaration")
+    return payload

@@ -63,6 +63,21 @@ def test_io_errors_exit_2(ws):
                "--report-out", ws("r.txt")) == 2
 
 
+def test_failed_write_leaves_no_temp_file(ws, tmp_path):
+    """The output path is an existing directory: the final rename fails,
+    the command exits 2, and the complete stego image written to the temp
+    file is removed with it."""
+    assert run("capture", "--width", "128", "--height", "128",
+               "--key-out", ws("k.pgm"), "--cover-out", ws("c.pgm")) == 0
+    with open(ws("m.bin"), "wb") as fh:
+        fh.write(b"no partial artifact")
+    os.mkdir(ws("s.pgm"))
+    assert run("embed", "--key", ws("k.pgm"), "--cover", ws("c.pgm"),
+               "--message", ws("m.bin"), "--stego-out", ws("s.pgm")) == 2
+    assert list(tmp_path.glob("*.tmp")) == []
+    assert os.listdir(ws("s.pgm")) == []
+
+
 def test_unsuitable_inputs_exit_2(ws, warden_ws):
     # image too small for the pairs-of-values statistic
     assert run("capture", "--width", "64", "--height", "64", "--mean-level", "100",

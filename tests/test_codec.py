@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shotstego import codec
+from shotstego import codec, rng as splitmix
 from shotstego.codec import (
     CodecError,
     DecodeError,
     MessagePlan,
-    SplitMix64,
     gather,
     keyed_filler_bits,
     mixing_permutation,
     rs_decode,
+    rs_decode_stream,
     rs_encode,
     scatter,
 )
@@ -28,21 +28,73 @@ GOLDEN = Path(__file__).parent / "golden"
 # splitmix64
 # ---------------------------------------------------------------------------
 
+class SplitMix64:
+    """Sequential splitmix64 stream and bounded draws, one output per call:
+    the reference the vectorised `rng.outputs` and `codec._draws_below`
+    must reproduce."""
+
+    def __init__(self, seed: int):
+        self._state = seed & splitmix.MASK64
+        self.drawn = 0
+
+    def next_u64(self) -> int:
+        self.drawn += 1
+        self._state = (self._state + splitmix.GAMMA) & splitmix.MASK64
+        return splitmix.mix(self._state)
+
+    def next_below(self, bound: int) -> int:
+        """Accept v < 2**64 - (2**64 mod bound), return v mod bound."""
+        threshold = (1 << 64) - ((1 << 64) % bound)
+        while True:
+            v = self.next_u64()
+            if v < threshold:
+                return v % bound
+
+
+def _fisher_yates(n: int, seed: int) -> list[int]:
+    perm = list(range(n))
+    ref = SplitMix64(seed)
+    for i in range(n - 1, 0, -1):
+        j = ref.next_below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
 def test_splitmix64_reference_vectors():
     # outputs of the reference C implementation
     assert SplitMix64(0).next_u64() == 0xE220A8397B1DCDAF
-    rng = SplitMix64(1234567)
-    assert [rng.next_u64() for _ in range(3)] == [
-        6457827717110365317, 3203168211198807973, 9817491932198370423]
+    ref = SplitMix64(1234567)
+    expect = [6457827717110365317, 3203168211198807973, 9817491932198370423]
+    assert [ref.next_u64() for _ in range(3)] == expect
+    assert splitmix.outputs(0, 1, 1).tolist() == [0xE220A8397B1DCDAF]
+    assert splitmix.outputs(1234567, 1, 3).tolist() == expect
+    assert splitmix.outputs(1234567, 2, 2).tolist() == expect[1:]
 
 
 def test_splitmix64_array_matches_scalar():
-    seed = 987654321
-    rng = SplitMix64(seed)
-    seq = [rng.next_u64() for _ in range(100)]
-    state = (np.uint64(seed) +
-             (np.arange(1, 101, dtype=np.uint64)) * np.uint64(codec.SPLITMIX64_GAMMA))
-    assert codec.splitmix64_mix_array(state).tolist() == seq
+    for seed in (987654321, 0, splitmix.MASK64, -1):
+        ref = SplitMix64(seed)
+        seq = [ref.next_u64() for _ in range(100)]
+        assert splitmix.outputs(seed, 1, 100).tolist() == seq
+        assert splitmix.outputs(seed, 41, 60).tolist() == seq[40:]
+        state = np.arange(1, 101, dtype=np.uint64) * np.uint64(splitmix.GAMMA)
+        state += np.uint64(seed & splitmix.MASK64)
+        assert splitmix.mix_words(state).tolist() == seq
+
+
+def test_draws_below_matches_reference_rejection():
+    """Bounds just above 2**63 reject about half of all outputs, so the
+    vectorised draws must resume the stream after each rejected output
+    exactly as the sequential rule does."""
+    r = random.Random(11)
+    for seed in (5, 2**64 - 3, 123456789):
+        bounds = [2**63 + 1] * 40 + [r.randrange(2**63, 2**64) for _ in range(40)]
+        bounds += [r.randrange(2, 5000) for _ in range(40)] + [2**64 - 1, 2**40, 2]
+        ref = SplitMix64(seed)
+        expect = [ref.next_below(b) for b in bounds]
+        assert ref.drawn > len(bounds) + 20  # the rejection branch really ran
+        got = codec._draws_below(seed, np.array(bounds, dtype=np.uint64))
+        assert got.tolist() == expect
 
 
 def test_next_below_unbiased_rejection():
@@ -183,6 +235,26 @@ def test_rs_parity_matches_independent_implementation():
         assert codec._rs_encode_block(data, nsym) == _rs_parity_naive(data, nsym)
 
 
+def _filler_bytes(count: int, seed: int) -> bytes:
+    return np.packbits(keyed_filler_bits(8 * count, seed)).tobytes()
+
+
+@pytest.mark.parametrize("size", [0, 1, 215, 216, 2000])
+def test_rs_decode_stream_finds_the_payload_length(size):
+    """The coded stream followed by filler, as the receiver gathers it, both
+    as a short stream and as one longer than the first block."""
+    payload = random.Random(size).randbytes(size)
+    coded = rs_encode(payload, 32)
+    for tail in (7, 300):
+        assert rs_decode_stream(coded + _filler_bytes(tail, size), 32) == payload
+
+
+def test_rs_decode_stream_filler_only_raises():
+    for length in (100, 600):
+        with pytest.raises(DecodeError):
+            rs_decode_stream(_filler_bytes(length, 42), 32)
+
+
 def test_redundancy_guidance_monte_carlo():
     """Oracle: a 1% uniform byte-error channel against the default 8 parity
     bytes per block. A single shortened block (64-byte payload) stays within
@@ -223,6 +295,12 @@ def test_permutation_zero_slots_rejected():
 def test_permutation_is_bijection(n, seed):
     perm = mixing_permutation(n, seed)
     assert sorted(perm.tolist()) == list(range(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=2000), st.integers(min_value=0, max_value=2**64 - 1))
+def test_permutation_matches_reference_fisher_yates(n, seed):
+    assert mixing_permutation(n, seed).tolist() == _fisher_yates(n, seed)
 
 
 def test_permutation_golden_vectors():
