@@ -8,16 +8,9 @@ other capability in this package rides on that physical noise floor.
 
 import numpy as np
 
-from shotstego import (
-    SensorConfig,
-    autocorrelation,
-    capture,
-    capture_pair,
-    collision_rate,
-    expected_collision_rate,
-    make_scene,
-    normalized_deviation,
-)
+from shotstego import SensorConfig, capture, capture_pair, make_scene
+from shotstego.statcheck import autocorrelation, normalized_deviation
+from shotstego.stego import collision_rate, expected_collision_rate
 
 sensor = SensorConfig(seed=2026)
 

@@ -16,11 +16,11 @@ from shotstego import (
     capture,
     capture_pair,
     embed_message,
-    keyed_filler_bits,
-    lsb_embed,
     make_scene,
     ward_test,
 )
+from shotstego.codec import keyed_filler_bits
+from shotstego.statcheck import lsb_embed
 
 LAM = 100.0  # few hundred counts: value pairs have strong probability tilts
 scene = make_scene(256, 256, "flat", LAM)

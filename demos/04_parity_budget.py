@@ -15,7 +15,7 @@ import math
 
 from scipy.stats import binom
 
-from shotstego import expected_collision_rate
+from shotstego.stego import expected_collision_rate
 
 print("Collision probability vs illumination level:")
 for lam in (100, 1000, 10_000, 40_000, 60_000):

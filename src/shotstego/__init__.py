@@ -9,56 +9,27 @@ and the steganalysis battery that verifies (or breaks) the hiding.
 """
 
 from .camera import SceneRadiance, SensorConfig, capture, capture_pair, make_scene
-from .codec import (
-    CodecError,
-    DecodeError,
-    MessagePlan,
-    gather,
-    keyed_filler_bits,
-    mixing_permutation,
-    rs_decode,
-    rs_encode,
-    scatter,
-)
+from .codec import CodecError, DecodeError
 from .imageio import PgmFormatError, RawImage, read_pgm16, write_pgm16, write_report
 from .pipeline import embed_message, extract_message
 from .statcheck import (
     AnalysisReport,
     Calibration,
-    Histogram,
-    Region,
-    autocorrelation,
+    CalibrationError,
     build_calibration,
-    chi_square_attack,
-    histogram,
-    kl_divergence,
-    lsb_embed,
-    normalized_deviation,
     read_calibration,
     ward_test,
     write_calibration,
 )
-from .stego import (
-    DecodedBits,
-    StegoParams,
-    collision_rate,
-    default_usable_mask,
-    embed,
-    expected_collision_rate,
-    extract,
-)
 
 __version__ = "0.1.0"
 
+# What a user calls; everything else stays importable from its module.
 __all__ = [
-    "AnalysisReport", "Calibration", "CodecError", "DecodeError",
-    "DecodedBits", "Histogram", "MessagePlan", "PgmFormatError", "RawImage",
-    "Region", "SceneRadiance", "SensorConfig", "StegoParams",
-    "autocorrelation", "build_calibration", "capture", "capture_pair",
-    "chi_square_attack", "collision_rate", "default_usable_mask", "embed",
-    "embed_message", "expected_collision_rate", "extract", "extract_message",
-    "gather", "histogram", "keyed_filler_bits", "kl_divergence", "lsb_embed",
-    "make_scene", "mixing_permutation", "normalized_deviation",
-    "read_calibration", "read_pgm16", "rs_decode", "rs_encode", "scatter",
-    "ward_test", "write_calibration", "write_pgm16", "write_report",
+    "embed_message", "extract_message",
+    "SceneRadiance", "SensorConfig", "make_scene", "capture", "capture_pair",
+    "RawImage", "read_pgm16", "write_pgm16", "write_report",
+    "Calibration", "AnalysisReport", "build_calibration", "ward_test",
+    "read_calibration", "write_calibration",
+    "CodecError", "DecodeError", "PgmFormatError", "CalibrationError",
 ]

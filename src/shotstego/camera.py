@@ -192,29 +192,24 @@ def capture(scene: SceneRadiance, sensor: SensorConfig, capture_index: int) -> R
     base = rng.mix((sensor.seed ^ rng.CAPTURE_SALT) + (capture_index + 1) * rng.GAMMA)
     noise_base = rng.mix(base ^ rng.READNOISE_SALT)
     knuth_base = rng.mix(base ^ rng.POISSON_SMALL_SALT)
-    lam_flat = scene.lam.reshape(-1) * jitter
+    lam_flat = scene.lam.reshape(-1)
     out = np.empty(n, dtype=np.uint16)
     sigma_r = sensor.read_noise_sigma
     full_well = np.float32(sensor.full_well)
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
         count = stop - start
-        lam = lam_flat[start:stop]
-        big = lam >= NORMAL_APPROX_THRESHOLD
-        z = _chunk_normals(base, start, count)
-        if np.all(big):
-            counts = z
-            lam32 = lam.astype(np.float32)
-            counts *= np.sqrt(lam32)
-            counts += lam32
-            np.rint(counts, out=counts)
-        else:
-            counts = np.empty(count, dtype=np.float32)
-            blam = lam[big].astype(np.float32)
-            counts[big] = np.rint(blam + np.sqrt(blam) * z[big])
-            small = np.flatnonzero(~big)
+        lam = lam_flat[start:stop] * jitter
+        lam32 = lam.astype(np.float32)
+        counts = _chunk_normals(base, start, count)
+        counts *= np.sqrt(lam32)
+        counts += lam32
+        np.rint(counts, out=counts)
+        # the normal draws of small-lambda pixels are overwritten by exact counts
+        small = np.flatnonzero(lam < NORMAL_APPROX_THRESHOLD)
+        if len(small):
             counts[small] = _poisson_knuth(
-                knuth_base, (np.uint64(start) + small.astype(np.uint64)), lam[small])
+                knuth_base, np.uint64(start) + small.astype(np.uint64), lam[small])
         np.maximum(counts, np.float32(0.0), out=counts)
         if sigma_r > 0:
             noise = _chunk_normals(noise_base, start, count)

@@ -409,10 +409,10 @@ def gather(bits: np.ndarray, perm: np.ndarray, coded_length: int) -> bytes:
 
 @dataclass
 class MessagePlan:
-    """Everything the sender and receiver agree on besides the key image.
-
-    The receiver's copy has payload=b"" (the payload travels in the stego
-    image; its length is recovered from the framed header).
+    """What the sender embedded: the payload and the parameters the
+    receiver must repeat (parity_symbols, mixing_seed, block_pixels), plus
+    the image's capacity in bits. The receiver never builds one: the
+    payload, and its length, travel in the stego image.
     """
 
     payload: bytes
@@ -425,11 +425,6 @@ class MessagePlan:
         _check_parity(self.parity_symbols)
         if self.block_pixels < 1:
             raise CodecError("block_pixels must be >= 1")
-        if self.capacity_bits and 8 * self.coded_length > self.capacity_bits:
-            raise CodecError(
-                f"coded payload needs {8 * self.coded_length} bits, "
-                f"capacity is {self.capacity_bits}"
-            )
 
     @property
     def coded_length(self) -> int:

@@ -94,16 +94,6 @@ class Histogram:
     def bin_width(self) -> int:
         return int(self.bin_edges[1] - self.bin_edges[0])
 
-    def mean(self) -> float:
-        centers = (self.bin_edges[:-1] + self.bin_edges[1:] - 1) / 2.0
-        return float(np.sum(centers * self.counts) / self.total)
-
-    def std(self) -> float:
-        centers = (self.bin_edges[:-1] + self.bin_edges[1:] - 1) / 2.0
-        m = self.mean()
-        return float(math.sqrt(np.sum((centers - m) ** 2 * self.counts)
-                               / max(self.total - 1, 1)))
-
 
 def histogram(img: RawImage, region: Region, bin_width: int = 1) -> Histogram:
     """Histogram of pixel values in the region; bins of bin_width counts."""
@@ -388,11 +378,23 @@ def write_calibration(cal: Calibration) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _parse_floats(text: str) -> np.ndarray:
-    return np.array([float(tok) for tok in text.split()], dtype=np.float64)
+def _parse_null(fields: dict, name: str, length: int) -> np.ndarray:
+    """A null sample list; it must hold exactly `length` finite values."""
+    vals = np.array([float(tok) for tok in fields[name].split()], dtype=np.float64)
+    if vals.size == 0:
+        raise CalibrationError(f"calibration field {name} is empty")
+    if not np.all(np.isfinite(vals)):
+        raise CalibrationError(f"calibration field {name} holds a non-finite value")
+    if vals.size != length:
+        raise CalibrationError(
+            f"calibration field {name} has {vals.size} values, expected {length}")
+    return vals
 
 
 def read_calibration(data: bytes) -> Calibration:
+    """Parse and validate a v1 calibration file; any defect raises
+    CalibrationError. The KL and chi-square nulls hold one value per run,
+    the pair-statistic nulls one per run pair (see build_calibration)."""
     lines = data.decode("utf-8").splitlines()
     if not lines or lines[0] != "shotstego-calibration v1":
         raise CalibrationError("not a calibration file (bad version header)")
@@ -402,22 +404,29 @@ def read_calibration(data: bytes) -> Calibration:
             key, _, rest = line.partition(" ")
             fields[key] = rest
     try:
+        runs = int(fields["runs"])
         bin_width = int(fields["bin_width"])
+        if bin_width < 1:
+            raise CalibrationError(f"calibration bin_width {bin_width} is below 1")
         nbins = -(-_NVALUES // bin_width)
         counts = np.zeros(nbins, dtype=np.int64)
         for item in fields["reference_counts"].split():
             i, _, v = item.partition(":")
-            counts[int(i)] = int(v)
+            i = int(i)
+            if not 0 <= i < nbins:
+                raise CalibrationError(
+                    f"reference_counts index {i} is outside [0, {nbins})")
+            counts[i] = int(v)
         return Calibration(
             scene_desc=fields["scene"],
-            n_runs=int(fields["runs"]),
+            n_runs=runs,
             bin_width=bin_width,
             reference_counts=counts,
             reference_total=int(fields["reference_total"]),
-            kl_null=_parse_floats(fields["kl_null"]),
-            chi2_logp_null=_parse_floats(fields["chi2_logp_null"]),
-            autocorr_max_null=_parse_floats(fields["autocorr_max_null"]),
-            normdev_dev_null=_parse_floats(fields["normdev_dev_null"]),
+            kl_null=_parse_null(fields, "kl_null", runs),
+            chi2_logp_null=_parse_null(fields, "chi2_logp_null", runs),
+            autocorr_max_null=_parse_null(fields, "autocorr_max_null", runs // 2),
+            normdev_dev_null=_parse_null(fields, "normdev_dev_null", runs // 2),
         )
     except KeyError as exc:
         raise CalibrationError(f"calibration file missing field {exc}") from exc

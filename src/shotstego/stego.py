@@ -11,6 +11,11 @@ happening to agree with the key. For one pixel per bit that probability is
 sum_k P(count=k)^2 of the per-pixel count distribution (~0.28% at a mean of
 1e4 photons); for g pixels per bit it falls like that number to the g-th
 power, which is the capacity-for-robustness trade of block mode.
+
+Both directions share one grouping rule: the usable pixels, in row-major
+order, are cut into runs of g and bit b owns run b; leftover usable pixels
+and masked pixels always come from the key. Without a mask every pixel is
+usable and the step through the mask is skipped.
 """
 
 from __future__ import annotations
@@ -32,9 +37,7 @@ class StegoParams:
     """Embedding geometry: pixels per message bit and the usable mask.
 
     usable_mask is a boolean (height, width) array; None means every pixel
-    participates. Groups are g consecutive usable pixels in row-major
-    order; leftover usable pixels and all masked pixels are copied from
-    the key image so extraction sees them as unused.
+    participates. The module docstring gives the grouping rule.
     """
 
     block_pixels: int = 1
@@ -74,10 +77,11 @@ def default_usable_mask(key: RawImage, full_well: int) -> np.ndarray:
     return (px < full_well) & (px >= DARK_FLOOR)
 
 
-def _groups(mask: np.ndarray, g: int) -> np.ndarray:
-    usable = np.flatnonzero(mask.reshape(-1))
-    n_groups = len(usable) // g
-    return usable[: n_groups * g].reshape(n_groups, g)
+def _usable(params: StegoParams, img: RawImage) -> Optional[np.ndarray]:
+    """Flat usable-pixel mask, or None when every pixel participates."""
+    if params.usable_mask is None:
+        return None
+    return params.mask_for(img).reshape(-1)
 
 
 def _check_dims(a: RawImage, b: RawImage) -> None:
@@ -91,24 +95,19 @@ def embed(key: RawImage, cover: RawImage, bits: np.ndarray, params: StegoParams)
     _check_dims(key, cover)
     g = params.block_pixels
     bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
-    out = key.pixels.reshape(-1).copy()
-    if params.usable_mask is None:
-        n_groups = key.pixel_count // g
-        if len(bits) != n_groups:
-            raise ValueError(
-                f"bit vector length {len(bits)} != group count {n_groups}")
-        used = n_groups * g
-        sel = np.repeat(bits.astype(bool), g)
-        np.copyto(out[:used], cover.pixels.reshape(-1)[:used], where=sel)
-    else:
-        groups = _groups(params.mask_for(key), g)
-        if len(bits) != len(groups):
-            raise ValueError(
-                f"bit vector length {len(bits)} != group count {len(groups)}")
-        take = groups[bits == 1].reshape(-1)
-        out[take] = cover.pixels.reshape(-1)[take]
-    return RawImage(width=key.width, height=key.height,
-                    pixels=out.reshape(key.height, key.width))
+    mask = _usable(params, key)
+    take = np.zeros(key.pixel_count if mask is None else np.count_nonzero(mask), dtype=bool)
+    n_groups = len(take) // g
+    if len(bits) != n_groups:
+        raise ValueError(f"bit vector length {len(bits)} != group count {n_groups}")
+    take[:n_groups * g].reshape(n_groups, g)[...] = (bits == 1)[:, None]
+    if mask is not None:
+        take_all = np.zeros_like(mask)
+        take_all[mask] = take
+        take = take_all
+    out = key.pixels.copy()
+    np.copyto(out, cover.pixels, where=take.reshape(out.shape))
+    return RawImage(width=key.width, height=key.height, pixels=out)
 
 
 def extract(stego: RawImage, key: RawImage, params: StegoParams) -> DecodedBits:
@@ -117,12 +116,9 @@ def extract(stego: RawImage, key: RawImage, params: StegoParams) -> DecodedBits:
     _check_dims(stego, key)
     g = params.block_pixels
     diff = (stego.pixels != key.pixels).reshape(-1)
-    if params.usable_mask is None:
-        used = (key.pixel_count // g) * g
-        bits = diff[:used].reshape(-1, g).any(axis=1).astype(np.uint8)
-    else:
-        groups = _groups(params.mask_for(key), g)
-        bits = diff[groups].any(axis=1).astype(np.uint8)
+    mask = _usable(params, key)
+    usable = diff if mask is None else diff[mask]
+    bits = usable[:len(usable) // g * g].reshape(-1, g).any(axis=1).astype(np.uint8)
     return DecodedBits(bits=bits, raw_mismatch_count=int(diff.sum()))
 
 

@@ -63,12 +63,20 @@ def test_capture_deterministic_and_index_separated():
 
 def test_capture_independent_of_chunking(monkeypatch):
     """Counter-based draws: slab size is an implementation detail and must
-    never show in the output (stands in for any parallel evaluation order)."""
-    scene = make_scene(300, 77, "pcb", 3000)
-    sensor = SensorConfig(seed=77, read_noise_sigma=4.0)
-    baseline = capture(scene, sensor, 0)
+    never show in the output (stands in for any parallel evaluation order).
+    The inputs cover every kind of slab: mixed with saturated and dark
+    tiles, a gradient crossing lambda=60 inside slabs, all large, all small."""
+    cases = [
+        (make_scene(300, 77, "pcb", 3000), SensorConfig(seed=77, read_noise_sigma=4.0)),
+        (make_scene(200, 50, "gradient", 50.0),
+         SensorConfig(seed=78, read_noise_sigma=2.0, exposure_jitter_fraction=0.05)),
+        (make_scene(100, 60, "flat", 1e4), SensorConfig(seed=79)),
+        (make_scene(100, 60, "flat", 7.5), SensorConfig(seed=80)),
+    ]
+    baselines = [capture(scene, sensor, 0) for scene, sensor in cases]
     monkeypatch.setattr(camera, "_CHUNK", 1234)
-    assert capture(scene, sensor, 0) == baseline
+    for (scene, sensor), baseline in zip(cases, baselines):
+        assert capture(scene, sensor, 0) == baseline
 
 
 def test_capture_pair_repeatable(flat_pair_1m):

@@ -174,3 +174,18 @@ def test_analyze_with_reference_pair(warden_ws):
     with open(ws("pair-report.txt"), "rb") as fh:
         text = fh.read().decode()
     assert "norm_dev" in text and "autocorr" in text
+
+
+def test_analyze_rejects_invalid_calibration(warden_ws, ws, capsys):
+    """A reference_counts index past the last bin: exit 2 with a one-line
+    error, and no report."""
+    with open(warden_ws("flat100.cal"), "rb") as fh:
+        text = fh.read().decode()
+    with open(ws("bad.cal"), "w") as fh:
+        fh.write(text.replace("\nreference_counts ", "\nreference_counts 70000:3 "))
+    capsys.readouterr()
+    assert run("analyze", "--image", warden_ws("k.pgm"), "--calibration", ws("bad.cal"),
+               "--report-out", ws("r.txt")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not os.path.exists(ws("r.txt"))

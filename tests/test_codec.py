@@ -389,14 +389,6 @@ def test_filler_domain_separated_from_shuffle():
 # MessagePlan
 # ---------------------------------------------------------------------------
 
-def test_plan_validates_capacity():
-    MessagePlan(payload=b"x" * 100, parity_symbols=8, mixing_seed=1,
-                capacity_bits=8 * 200, block_pixels=1)
-    with pytest.raises(CodecError):
-        MessagePlan(payload=b"x" * 100, parity_symbols=8, mixing_seed=1,
-                    capacity_bits=100, block_pixels=1)
-
-
 def test_plan_validates_parity_and_g():
     with pytest.raises(CodecError):
         MessagePlan(payload=b"", parity_symbols=5)

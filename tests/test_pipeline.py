@@ -45,18 +45,6 @@ def test_length_discovery_across_block_boundaries(size):
                                     mixing_seed=6) == msg
 
 
-def test_declared_length_path():
-    _, _, key, cover = pair(seed=105, n=256)
-    msg = b"x" * 300
-    res = pipeline.embed_message(key, cover, msg, parity_symbols=16, mixing_seed=7)
-    got = pipeline.extract_message(res.stego_image, key, parity_symbols=16,
-                                   mixing_seed=7, payload_length=300)
-    assert got == msg
-    with pytest.raises(DecodeError):
-        pipeline.extract_message(res.stego_image, key, parity_symbols=16,
-                                 mixing_seed=7, payload_length=299)
-
-
 def test_wrong_key_fails_loudly():
     scene, sensor, key, cover = pair(seed=106)
     third = capture(scene, sensor, 2)
@@ -77,6 +65,16 @@ def test_capacity_enforcement():
     _, _, key, cover = pair(seed=108, n=64)  # 4096 pixels -> 512 byte slots
     with pytest.raises(CodecError, match="too large|capacity"):
         pipeline.embed_message(key, cover, b"\x00" * 2000)
+
+
+def test_dark_key_has_no_capacity():
+    """Every pixel is below the dark floor: embedding reports the overflow
+    like any oversized message, extraction has nothing to read."""
+    _, _, key, cover = pair(seed=112, n=64, lam=0)
+    with pytest.raises(CodecError, match="too large"):
+        pipeline.embed_message(key, cover, b"x")
+    with pytest.raises(DecodeError, match="no usable byte capacity"):
+        pipeline.extract_message(key, key)
 
 
 def test_embedded_bits_fill_capacity_exactly():

@@ -1,0 +1,50 @@
+"""The top level holds what a user calls, and the demos use only that.
+
+Internals stay importable from their modules; a demo that needs one
+imports it from there. The demos are parsed, not run, so a trimmed
+top level shows up here without running them.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import shotstego
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+PUBLIC = {
+    "embed_message", "extract_message",
+    "SceneRadiance", "SensorConfig", "make_scene", "capture", "capture_pair",
+    "RawImage", "read_pgm16", "write_pgm16", "write_report",
+    "Calibration", "AnalysisReport", "build_calibration", "ward_test",
+    "read_calibration", "write_calibration",
+    "CodecError", "DecodeError", "PgmFormatError", "CalibrationError",
+}
+
+
+def test_all_is_the_public_surface():
+    assert len(shotstego.__all__) == len(PUBLIC)
+    assert set(shotstego.__all__) == PUBLIC
+    for name in shotstego.__all__:
+        assert getattr(shotstego, name) is not None
+
+
+def top_level_imports_outside_all(source: str) -> list[str]:
+    return sorted(
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "shotstego"
+        for alias in node.names if alias.name not in shotstego.__all__)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_imports_only_public_names(demo):
+    assert top_level_imports_outside_all(demo.read_text()) == []
+
+
+def test_checker_flags_internal_names():
+    source = ("from shotstego import embed_message, scatter\n"
+              "from shotstego.codec import scatter\n")
+    assert top_level_imports_outside_all(source) == ["line 1: scatter"]

@@ -62,8 +62,11 @@ def test_histogram_of_shot_noise_capture():
     img = capture(make_scene(512, 512, "flat", 10000), SensorConfig(seed=3), 0)
     hist = histogram(img, Region(0, 0, 512, 200), bin_width=1)
     assert hist.total == 102400
-    assert abs(hist.mean() - 10000) < 3
-    assert abs(hist.std() - 100) < 2
+    centers = (hist.bin_edges[:-1] + hist.bin_edges[1:] - 1) / 2.0
+    mean = np.sum(centers * hist.counts) / hist.total
+    std = math.sqrt(np.sum((centers - mean) ** 2 * hist.counts) / (hist.total - 1))
+    assert abs(mean - 10000) < 3
+    assert abs(std - 100) < 2
 
 
 def test_histogram_csv_format():
@@ -387,6 +390,7 @@ def test_calibration_file_round_trip(calibration):
     data = write_calibration(calibration)
     assert data.startswith(b"shotstego-calibration v1\n")
     back = read_calibration(data)
+    assert write_calibration(back) == data
     assert back.n_runs == calibration.n_runs
     assert np.allclose(back.kl_null, calibration.kl_null, rtol=1e-6)
     assert np.array_equal(back.reference_counts, calibration.reference_counts)
@@ -397,3 +401,34 @@ def test_calibration_file_round_trip(calibration):
 def test_calibration_rejects_garbage():
     with pytest.raises(CalibrationError):
         read_calibration(b"not a calibration\n")
+
+
+def _small_calibration_text() -> str:
+    """A valid v1 file of 4 runs: 4 KL and chi-square nulls, 2 pair nulls."""
+    cal = statcheck.Calibration(
+        scene_desc="8x8 mean_lambda=100", n_runs=4, bin_width=1,
+        reference_counts=np.bincount([99, 100, 100, 101], minlength=65536),
+        reference_total=4, kl_null=np.array([0.1, 0.2, 0.3, 0.4]),
+        chi2_logp_null=np.array([1.0, 2.0, 0.5, 0.7]),
+        autocorr_max_null=np.array([0.01, 0.02]),
+        normdev_dev_null=np.array([0.03, 0.04]))
+    return write_calibration(cal).decode()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("reference_counts", "70000:3"),       # index past the last bin
+    ("reference_counts", "-1:5"),          # negative index would wrap
+    ("bin_width", "0"),                    # division by zero
+    ("kl_null", ""),                       # empty null: no percentile
+    ("kl_null", "nan 0.2 0.3 0.4"),        # NaN threshold
+    ("chi2_logp_null", "1 2 inf 4"),
+    ("kl_null", "0.1 0.2 0.3"),            # 3 values under runs 4
+    ("normdev_dev_null", "0.03 0.04 0.05"),  # pair nulls hold runs // 2
+])
+def test_calibration_rejects_invalid_fields(field, value):
+    text = _small_calibration_text()
+    read_calibration(text.encode())  # the unmodified file is valid
+    lines = [f"{field} {value}" if line.split(" ")[0] == field else line
+             for line in text.splitlines()]
+    with pytest.raises(CalibrationError):
+        read_calibration(("\n".join(lines) + "\n").encode())

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shotstego import codec
 from shotstego.camera import SensorConfig, capture, capture_pair, make_scene
@@ -130,6 +131,43 @@ def test_embed_validates_lengths_and_dims():
         embed(key, other, np.zeros(key.pixel_count, dtype=np.uint8), params)
     with pytest.raises(ValueError):
         extract(other, key, params)
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=st.integers(1, 12), w=st.integers(1, 12), g=st.integers(1, 17),
+       data=st.data())
+def test_grouping_matches_per_group_reference(h, w, g, data):
+    """Bit b owns usable pixels flatnonzero(mask)[b*g:(b+1)*g]: embed and
+    extract agree with that rule applied group by group, and no mask is the
+    same as an all-true mask."""
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w)),
+                    dtype=bool).reshape(h, w)
+    usable = np.flatnonzero(mask)
+    groups = usable[:len(usable) // g * g].reshape(-1, g)
+    bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(groups),
+                                       max_size=len(groups))), dtype=np.uint8)
+    r = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    key, cover, other = (RawImage(width=w, height=h,
+                                  pixels=r.integers(0, 3, (h, w), dtype=np.uint16))
+                         for _ in range(3))
+    params = StegoParams(block_pixels=g, usable_mask=mask)
+
+    expect = key.pixels.reshape(-1).copy()
+    for bit, group in zip(bits, groups):
+        if bit:
+            expect[group] = cover.pixels.reshape(-1)[group]
+    assert np.array_equal(embed(key, cover, bits, params).pixels.reshape(-1), expect)
+    differs = (other.pixels != key.pixels).reshape(-1)
+    expect_bits = [int(differs[group].any()) for group in groups]
+    assert extract(other, key, params).bits.tolist() == expect_bits
+
+    no_mask = StegoParams(block_pixels=g)
+    all_true = StegoParams(block_pixels=g, usable_mask=np.ones((h, w), dtype=bool))
+    bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=h * w // g,
+                                       max_size=h * w // g)), dtype=np.uint8)
+    assert embed(key, cover, bits, no_mask) == embed(key, cover, bits, all_true)
+    assert np.array_equal(extract(other, key, no_mask).bits,
+                          extract(other, key, all_true).bits)
 
 
 def test_collision_rate_identity_and_saturated():
