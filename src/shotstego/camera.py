@@ -18,12 +18,17 @@ stride constants are audited so no two (i, j) pairs of one capture
 collide. The per-capture bases and exposure factors come from the salted
 streams of the sensor seed (`rng.CAPTURE_SALT`, `rng.JITTER_SALT`).
 
-Sampling is exact Knuth inversion below lambda = 60 and the rounded normal
-approximation N(lambda, lambda) above, where the approximation error is
-orders of magnitude below statistical test resolution. Normals come from
-Box-Muller evaluated in float32 with the cos/sin pair trick; captures are
-only required to be statistically faithful, not bit-identical across
-implementations, so the cheap transcendentals are fine.
+Pixels with lambda >= 60 take the rounded normal approximation
+N(lambda, lambda), whose error is orders of magnitude below statistical
+test resolution. Normals come from Box-Muller evaluated in float32 with the
+cos/sin pair trick; captures are only required to be statistically
+faithful, not bit-identical across implementations, so the cheap
+transcendentals are fine. Pixels below 60 get exact Poisson counts from
+float64 uniforms of their own stream (`rng.POISSON_SMALL_SALT`): inversion
+of one uniform below lambda = 10 and transformed rejection (PTRS) from 10
+up to 60, the split numpy uses. The image is processed in slabs of
+_CHUNK = 2^17 pixels, small enough that a slab's working arrays stay in
+the CPU cache.
 """
 
 from __future__ import annotations
@@ -31,18 +36,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from . import rng
 from .imageio import RawImage
 
 NORMAL_APPROX_THRESHOLD = 60.0
+INVERSION_THRESHOLD = 10.0  # below: CDF inversion; up to 60: PTRS
 DEFAULT_FULL_WELL = 50000
-_CHUNK = 1 << 22  # pixels per processing slab (even), bounds peak memory
+_CHUNK = 1 << 17  # pixels per processing slab (even): its buffers stay in cache
+_INVERSION_MAX = 64
+_PTRS_MAX_ATTEMPTS = 300
 
 # Second stride for the draw index; with |draw delta| <= 600 the nearest
 # pixel-index alias sits at |di| ~ 3.4e15, far outside any image.
 DRAW_DELTA = 0xD1342543DE82EF95
-_INV_2_40 = np.float32(2.0 ** -40)  # uniforms keep the top 40 bits
+_INV_2_40 = np.float32(2.0 ** -40)  # float32 uniforms keep the top 40 bits
+_INV_2_53 = 2.0 ** -53  # float64 uniforms keep the top 53 bits
 
 
 @dataclass
@@ -128,13 +138,30 @@ def make_scene(width: int, height: int, pattern: str, mean_level: float) -> Scen
 # counter-based sampling
 # ---------------------------------------------------------------------------
 
+def _words(base: int, idx: np.ndarray, draw: int) -> np.ndarray:
+    """The splitmix64 words for (counter idx, draw) under a stream base."""
+    z = idx + np.uint64(1)
+    z *= np.uint64(rng.GAMMA)
+    z += np.uint64((base + (draw + 1) * DRAW_DELTA) & rng.MASK64)
+    return rng.mix_words(z)
+
+
 def _uniforms(base: int, idx: np.ndarray, draw: int) -> np.ndarray:
-    """Uniform floats in (0, 1] for (counter idx, draw) under a stream base."""
-    offset = np.uint64((base + (draw + 1) * DRAW_DELTA) & rng.MASK64)
-    words = rng.mix_words((idx + np.uint64(1)) * np.uint64(rng.GAMMA) + offset)
-    u = (words >> np.uint64(24)).astype(np.float32)
+    """float32 uniforms in (0, 1] for (counter idx, draw) under a stream base."""
+    w = _words(base, idx, draw)
+    w >>= np.uint64(24)
+    u = w.view(np.int64).astype(np.float32)  # exact below 2^63, faster than uint64
     u += np.float32(1.0)
     u *= _INV_2_40
+    return u
+
+
+def _uniforms64(base: int, idx: np.ndarray, draw: int) -> np.ndarray:
+    """float64 uniforms in [0, 1) from the top 53 bits of the same words."""
+    w = _words(base, idx, draw)
+    w >>= np.uint64(11)
+    u = w.view(np.int64).astype(np.float64)
+    u *= _INV_2_53
     return u
 
 
@@ -145,38 +172,82 @@ def _chunk_normals(base: int, start: int, count: int) -> np.ndarray:
     index no matter how the image is chunked. start must be even."""
     half = (count + 1) // 2
     pair_ids = np.arange(start >> 1, (start >> 1) + half, dtype=np.uint64)
-    u1 = _uniforms(base, pair_ids, 0)
-    u2 = _uniforms(base, pair_ids, 1)
-    r = np.sqrt(np.float32(-2.0) * np.log(u1))
-    theta = np.float32(2.0 * np.pi) * u2
+    r = _uniforms(base, pair_ids, 0)
+    np.log(r, out=r)
+    r *= np.float32(-2.0)
+    np.sqrt(r, out=r)
+    theta = _uniforms(base, pair_ids, 1)
+    theta *= np.float32(2.0 * np.pi)
     z = np.empty(count, dtype=np.float32)
-    z[0::2] = r * np.cos(theta)
-    z[1::2] = (r * np.sin(theta))[: count - half]
+    trig = np.cos(theta)
+    trig *= r
+    z[0::2] = trig
+    np.sin(theta, out=trig)
+    trig *= r
+    z[1::2] = trig[: count - half]
     return z
 
 
-def _poisson_knuth(base: int, idx: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Exact Poisson inversion (Knuth product method), vectorised.
+def _poisson_inversion(base: int, idx: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Exact Poisson counts for lam < 10 by inversion of one uniform u.
 
-    Multiplies uniforms until the running product drops below exp(-lam);
-    the count is the number of draws minus one. Only used for lam < 60,
-    where exp(-lam) is comfortably representable (draws use float64).
+    The count is the smallest k with u < F(k), the CDF summed term by term
+    from p_0 = exp(-lam) by p_k = p_(k-1) * lam / k. The search stops at
+    k = _INVERSION_MAX: the tail beyond it holds under 5e-30 of the mass,
+    so only a u above the rounded float64 sum F(63), a chance of a few
+    units of 2^-53, ends there.
     """
-    limit = np.exp(-lam)
-    prod = np.ones_like(lam)
-    counts = np.zeros(lam.shape, dtype=np.int64)
-    active_idx = np.arange(len(lam))
-    draw = 0
-    # hard cap: beyond lam + 40*sqrt(lam) + 20 draws the tail mass is ~0
-    cap = int(np.max(lam) + 40.0 * np.sqrt(np.max(lam)) + 20.0) if lam.size else 0
-    while len(active_idx) and draw <= cap:
-        u = _uniforms(base, idx[active_idx], draw).astype(np.float64)
-        prod[active_idx] *= u
-        done = prod[active_idx] <= limit[active_idx]
-        counts[active_idx[done]] = draw
-        active_idx = active_idx[~done]
-        draw += 1
-    counts[active_idx] = cap  # unreachable in practice
+    u = _uniforms64(base, idx, 0)
+    p = np.exp(-lam)
+    cdf = p.copy()
+    counts = np.zeros(len(lam))
+    pending = np.arange(len(lam))
+    for k in range(1, _INVERSION_MAX + 1):
+        more = u >= cdf
+        pending = pending[more]
+        if not len(pending):
+            break
+        u, lam, p, cdf = u[more], lam[more], p[more], cdf[more]
+        counts[pending] = k
+        p *= lam / k
+        cdf += p
+    return counts
+
+
+def _poisson_ptrs(base: int, idx: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Exact Poisson counts for 10 <= lam < 60 by transformed rejection with
+    squeeze (PTRS; Hoermann, "The transformed rejection method for
+    generating Poisson random variables", 1993), as numpy draws them.
+
+    Attempt r reads draws 2r and 2r+1 of the pixel's counter. An attempt
+    is rejected with probability 0.246 at lam = 10, falling to 0.16 at 60,
+    so a pixel exhausts the _PTRS_MAX_ATTEMPTS = 300 attempts (draws up to
+    599, inside DRAW_DELTA's audited range) with probability below
+    0.25^300 < 1e-180; it would keep floor(lam).
+    """
+    counts = np.floor(lam)
+    pending = np.arange(len(lam))
+    for attempt in range(_PTRS_MAX_ATTEMPTS):
+        b = 0.931 + 2.53 * np.sqrt(lam)
+        a = -0.059 + 0.02483 * b
+        u = _uniforms64(base, idx, 2 * attempt) - 0.5
+        v = _uniforms64(base, idx, 2 * attempt + 1)
+        us = 0.5 - np.abs(u)
+        with np.errstate(divide="ignore"):  # us == 0 gives k = -inf, rejected
+            k = np.floor((2.0 * a / us + b) * u + lam + 0.43)
+        accept = (us >= 0.07) & (v <= 0.9277 - 3.6224 / (b - 2.0))
+        test = np.flatnonzero(~accept & (k >= 0) & ((us >= 0.013) | (v <= us)))
+        if len(test):
+            at, bt, kt, lt, ut = a[test], b[test], k[test], lam[test], us[test]
+            with np.errstate(divide="ignore"):  # v == 0 gives log(v) = -inf, accepted
+                lhs = (np.log(v[test]) + np.log(1.1239 + 1.1328 / (bt - 3.4))
+                       - np.log(at / (ut * ut) + bt))
+            accept[test] = lhs <= -lt + kt * np.log(lt) - gammaln(kt + 1.0)
+        counts[pending[accept]] = k[accept]
+        rejected = ~accept
+        pending, idx, lam = pending[rejected], idx[rejected], lam[rejected]
+        if not len(pending):
+            break
     return counts
 
 
@@ -191,7 +262,7 @@ def capture(scene: SceneRadiance, sensor: SensorConfig, capture_index: int) -> R
     jitter = exposure_factor(sensor, capture_index)
     base = rng.mix((sensor.seed ^ rng.CAPTURE_SALT) + (capture_index + 1) * rng.GAMMA)
     noise_base = rng.mix(base ^ rng.READNOISE_SALT)
-    knuth_base = rng.mix(base ^ rng.POISSON_SMALL_SALT)
+    small_base = rng.mix(base ^ rng.POISSON_SMALL_SALT)
     lam_flat = scene.lam.reshape(-1)
     out = np.empty(n, dtype=np.uint16)
     sigma_r = sensor.read_noise_sigma
@@ -199,7 +270,9 @@ def capture(scene: SceneRadiance, sensor: SensorConfig, capture_index: int) -> R
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
         count = stop - start
-        lam = lam_flat[start:stop] * jitter
+        lam = lam_flat[start:stop]
+        if jitter != 1.0:
+            lam = lam * jitter
         lam32 = lam.astype(np.float32)
         counts = _chunk_normals(base, start, count)
         counts *= np.sqrt(lam32)
@@ -208,16 +281,19 @@ def capture(scene: SceneRadiance, sensor: SensorConfig, capture_index: int) -> R
         # the normal draws of small-lambda pixels are overwritten by exact counts
         small = np.flatnonzero(lam < NORMAL_APPROX_THRESHOLD)
         if len(small):
-            counts[small] = _poisson_knuth(
-                knuth_base, np.uint64(start) + small.astype(np.uint64), lam[small])
-        np.maximum(counts, np.float32(0.0), out=counts)
+            lam_small = lam[small]
+            idx = np.uint64(start) + small.astype(np.uint64)
+            low = lam_small < INVERSION_THRESHOLD
+            counts[small[low]] = _poisson_inversion(small_base, idx[low], lam_small[low])
+            counts[small[~low]] = _poisson_ptrs(small_base, idx[~low], lam_small[~low])
         if sigma_r > 0:
+            np.maximum(counts, np.float32(0.0), out=counts)  # the clip floors otherwise
             noise = _chunk_normals(noise_base, start, count)
             noise *= np.float32(sigma_r)
             np.rint(noise, out=noise)
             counts += noise
         np.clip(counts, np.float32(0.0), full_well, out=counts)
-        out[start:stop] = counts.astype(np.uint16)
+        out[start:stop] = counts
     return RawImage(width=scene.width, height=scene.height,
                     pixels=out.reshape(scene.height, scene.width))
 

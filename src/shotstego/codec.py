@@ -363,6 +363,14 @@ def keyed_filler_bits(count: int, seed: int) -> np.ndarray:
     return np.unpackbits(words.astype(">u8").view(np.uint8))[:count]  # MSB-first per word
 
 
+def check_capacity(coded_length: int, capacity_bits: int) -> None:
+    """Raise CodecError unless `coded_length` coded bytes fit the capacity."""
+    if 8 * coded_length > capacity_bits:
+        raise CodecError(
+            f"message too large for capacity: {8 * coded_length} bits > {capacity_bits}"
+        )
+
+
 def scatter(coded: bytes, perm: np.ndarray, capacity_bits: int, mixing_seed: int) -> np.ndarray:
     """Spread coded bytes over byte slots and fill the rest with keyed filler.
 
@@ -372,10 +380,7 @@ def scatter(coded: bytes, perm: np.ndarray, capacity_bits: int, mixing_seed: int
     slots = capacity_bits // 8
     if len(perm) != slots:
         raise CodecError(f"permutation covers {len(perm)} slots, capacity has {slots}")
-    if 8 * len(coded) > capacity_bits:
-        raise CodecError(
-            f"message too large for capacity: {8 * len(coded)} bits > {capacity_bits}"
-        )
+    check_capacity(len(coded), capacity_bits)
     bits = np.zeros(capacity_bits, dtype=np.uint8)
     occupied = np.zeros(capacity_bits, dtype=bool)
     if len(coded) > 0:

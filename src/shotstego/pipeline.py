@@ -5,7 +5,7 @@ pixel-selection embedding. Receiver: key comparison, unmixing, correction,
 CRC check. Both sides derive the usable-pixel mask from the shared key
 image, so it is never passed in. The payload length is never passed either:
 `codec.rs_decode_stream` recovers it from the framed header. Whether the
-coded message fits the image is checked once, by `codec.scatter`.
+coded message fits the image is stated once, in `codec.check_capacity`.
 """
 
 from __future__ import annotations
@@ -42,10 +42,11 @@ def embed_message(key: RawImage, cover: RawImage, payload: bytes,
     plan = MessagePlan(payload=bytes(payload), parity_symbols=parity_symbols,
                        mixing_seed=mixing_seed, capacity_bits=capacity_bits,
                        block_pixels=block_pixels)
+    # rejects an oversized message before the encoding and the permutation,
+    # whose cost grows with the payload and the image
+    codec.check_capacity(plan.coded_length, capacity_bits)
     coded = codec.rs_encode(plan.payload, parity_symbols)
-    slots = capacity_bits // 8
-    # without a single slot there is no permutation; scatter reports the overflow
-    perm = codec.mixing_permutation(slots, mixing_seed) if slots else np.empty(0, np.int64)
+    perm = codec.mixing_permutation(capacity_bits // 8, mixing_seed)
     bits = codec.scatter(coded, perm, capacity_bits, mixing_seed)
     stego_image = stego.embed(key, cover, bits, params)
     return EmbedResult(stego_image=stego_image, plan=plan, bits=bits)

@@ -23,7 +23,7 @@ FILLER_SALT = 0x6A09E667F3BCC908
 CAPTURE_SALT = 0xBB67AE8584CAA73B
 JITTER_SALT = 0x3C6EF372FE94F82B
 READNOISE_SALT = 0xA54FF53A5F1D36F1
-POISSON_SMALL_SALT = 0x510E527FADE682D1  # keeps the Knuth stream independent
+POISSON_SMALL_SALT = 0x510E527FADE682D1  # exact small-lambda sampler's stream
 
 _M1 = np.uint64(MULT1)
 _M2 = np.uint64(MULT2)

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
+from scipy import stats
 
-from shotstego import camera, statcheck
+from shotstego import camera, imageio, statcheck
 from shotstego.camera import SensorConfig, capture, capture_pair, make_scene
 
 
@@ -145,6 +148,50 @@ def test_knuth_branch_moments():
     v = img.pixels.astype(np.float64)
     assert abs(v.mean() - 7.5) < 0.05
     assert abs(v.var(ddof=1) - 7.5) < 0.15
+
+
+@pytest.mark.parametrize("lam, seed", [
+    (0.3, 11), (3.0, 12), (9.99, 13), (10.0, 14), (25.0, 15), (59.9, 16)])
+def test_small_lambda_counts_follow_poisson_law(lam, seed):
+    """Chi-square goodness of fit of 4e5 flat-scene counts against the
+    Poisson pmf on both sides of the inversion/PTRS switch at lambda = 10
+    and just below the normal approximation at 60. Tails are pooled until
+    every expected count is at least 5."""
+    side = 632
+    counts = capture(make_scene(side, side, "flat", lam), SensorConfig(seed=seed), 0).pixels
+    observed = np.bincount(counts.reshape(-1).astype(np.int64))
+    k = np.arange(len(observed))
+    expected = side * side * stats.poisson.pmf(k, lam)
+    expected[-1] += side * side * stats.poisson.sf(k[-1], lam)
+    lo, hi = np.flatnonzero(expected >= 5)[[0, -1]]  # the pmf is unimodal
+    obs = np.concatenate([[observed[:lo + 1].sum()], observed[lo + 1:hi], [observed[hi:].sum()]])
+    exp = np.concatenate([[expected[:lo + 1].sum()], expected[lo + 1:hi], [expected[hi:].sum()]])
+    assert exp.min() >= 5 and len(exp) >= 4
+    statistic = float(np.sum((obs - exp) ** 2 / exp))
+    assert stats.chi2.sf(statistic, len(exp) - 1) > 1e-3
+
+
+# SHA-256 of write_pgm16(capture(...)): captures whose scaled lambda is 0 or
+# at least 60 at every pixel take only the normal approximation, whose bytes
+# are pinned across changes to the sampler.
+PINNED_CAPTURES = [
+    ("criterion8-flat-4096", (4096, 4096, "flat", 1e4), dict(seed=80_000),
+     "14a8e07557a69f5ba2f178583cbb1d5516fee44247d43e00dc676d526285aa5a"),
+    ("criterion3-pcb-512", (512, 512, "pcb", 10000), dict(seed=3000),
+     "015f43df23af6d22439151f832d1f4d445079475e3a0a787d0c00d5435148b91"),
+    ("warden-flat-256", (256, 256, "flat", 100.0), dict(seed=1),
+     "d2c842e616fee565e6b599bf32237706a19b8e63cdba22e5871b29b375cb084f"),
+    ("pcb-300x77-read-noise", (300, 77, "pcb", 3000),
+     dict(seed=77, read_noise_sigma=4.0),
+     "9dbfba5d4fa99f071632238099e57834ab21b6c07860471fb6079248fb997e76"),
+]
+
+
+@pytest.mark.parametrize("scene, sensor, digest", [c[1:] for c in PINNED_CAPTURES],
+                         ids=[c[0] for c in PINNED_CAPTURES])
+def test_normal_path_bytes_pinned(scene, sensor, digest):
+    img = capture(make_scene(*scene), SensorConfig(**sensor), 0)
+    assert hashlib.sha256(imageio.write_pgm16(img)).hexdigest() == digest
 
 
 def test_sensor_config_validation():

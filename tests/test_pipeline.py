@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shotstego import pipeline
+from shotstego import codec, pipeline
 from shotstego.camera import SensorConfig, capture, capture_pair, make_scene
 from shotstego.codec import CodecError, DecodeError
 
@@ -64,6 +64,20 @@ def test_wrong_mixing_seed_fails_loudly():
 def test_capacity_enforcement():
     _, _, key, cover = pair(seed=108, n=64)  # 4096 pixels -> 512 byte slots
     with pytest.raises(CodecError, match="too large|capacity"):
+        pipeline.embed_message(key, cover, b"\x00" * 2000)
+
+
+def test_oversized_message_rejected_before_encoding(monkeypatch):
+    """The capacity check runs on the coded length alone: an oversized
+    message never reaches the Reed-Solomon encoder or the permutation."""
+    _, _, key, cover = pair(seed=108, n=64)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran before the capacity check")
+
+    monkeypatch.setattr(codec, "rs_encode", unreachable)
+    monkeypatch.setattr(codec, "mixing_permutation", unreachable)
+    with pytest.raises(CodecError, match="too large for capacity: 16640 bits > 4096"):
         pipeline.embed_message(key, cover, b"\x00" * 2000)
 
 
