@@ -26,13 +26,21 @@ faithful, not bit-identical across implementations, so the cheap
 transcendentals are fine. Pixels below 60 get exact Poisson counts from
 float64 uniforms of their own stream (`rng.POISSON_SMALL_SALT`): inversion
 of one uniform below lambda = 10 and transformed rejection (PTRS) from 10
-up to 60, the split numpy uses. The image is processed in slabs of
-_CHUNK = 2^17 pixels, small enough that a slab's working arrays stay in
-the CPU cache.
+up to 60, the split numpy uses.
+
+The image is processed in batches of 4 * _CHUNK pixels. A batch first
+draws the exact counts of all its pixels below 60 into one compact array,
+in sub-batches of at most _CHUNK // 2 such pixels, so the per-call cost of
+those samplers is paid once per batch rather than once per slab. It then
+runs the normal approximation in slabs of _CHUNK = 2^17 pixels, small
+enough that a slab's working arrays stay in the CPU cache; each slab takes
+its small-lambda pixels' counts from the batch's array before read noise
+and clipping.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +69,7 @@ class SceneRadiance:
 
     width: int
     height: int
-    lam: np.ndarray  # float64, shape (height, width), all >= 0
+    lam: np.ndarray  # float64, shape (height, width), all finite and >= 0
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
@@ -69,6 +77,8 @@ class SceneRadiance:
         lam = np.asarray(self.lam, dtype=np.float64)
         if lam.shape != (self.height, self.width):
             raise ValueError("radiance array shape does not match dimensions")
+        if not np.all(np.isfinite(lam)):
+            raise ValueError("expected photon counts must be finite")
         if np.any(lam < 0):
             raise ValueError("expected photon counts must be >= 0")
         self.lam = lam
@@ -92,8 +102,8 @@ class SensorConfig:
     def __post_init__(self):
         if not (1 <= self.full_well <= 65535):
             raise ValueError("full_well must be in [1, 65535] so counts fit 16 bits")
-        if self.read_noise_sigma < 0:
-            raise ValueError("read_noise_sigma must be >= 0")
+        if not (math.isfinite(self.read_noise_sigma) and self.read_noise_sigma >= 0):
+            raise ValueError("read_noise_sigma must be finite and >= 0")
         if not (0 <= self.exposure_jitter_fraction < 1):
             raise ValueError("exposure_jitter_fraction must be in [0, 1)")
         self.seed = self.seed & rng.MASK64
@@ -111,8 +121,8 @@ def make_scene(width: int, height: int, pattern: str, mean_level: float) -> Scen
     """
     if width < 1 or height < 1:
         raise ValueError("scene dimensions must be >= 1")
-    if mean_level < 0:
-        raise ValueError("mean_level must be >= 0")
+    if not (math.isfinite(mean_level) and mean_level >= 0):
+        raise ValueError("mean_level must be finite and >= 0")
     if pattern == "flat":
         lam = np.full((height, width), float(mean_level))
     elif pattern == "gradient":
@@ -267,33 +277,42 @@ def capture(scene: SceneRadiance, sensor: SensorConfig, capture_index: int) -> R
     out = np.empty(n, dtype=np.uint16)
     sigma_r = sensor.read_noise_sigma
     full_well = np.float32(sensor.full_well)
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        count = stop - start
-        lam = lam_flat[start:stop]
+    batch = 4 * _CHUNK  # at 4096^2, 2 slabs were slower; 8 no faster, +3 MB peak RSS
+    for first in range(0, n, batch):
+        lam_batch = lam_flat[first:first + batch]
         if jitter != 1.0:
-            lam = lam * jitter
-        lam32 = lam.astype(np.float32)
-        counts = _chunk_normals(base, start, count)
-        counts *= np.sqrt(lam32)
-        counts += lam32
-        np.rint(counts, out=counts)
-        # the normal draws of small-lambda pixels are overwritten by exact counts
-        small = np.flatnonzero(lam < NORMAL_APPROX_THRESHOLD)
-        if len(small):
-            lam_small = lam[small]
-            idx = np.uint64(start) + small.astype(np.uint64)
-            low = lam_small < INVERSION_THRESHOLD
-            counts[small[low]] = _poisson_inversion(small_base, idx[low], lam_small[low])
-            counts[small[~low]] = _poisson_ptrs(small_base, idx[~low], lam_small[~low])
-        if sigma_r > 0:
-            np.maximum(counts, np.float32(0.0), out=counts)  # the clip floors otherwise
-            noise = _chunk_normals(noise_base, start, count)
-            noise *= np.float32(sigma_r)
-            np.rint(noise, out=noise)
-            counts += noise
-        np.clip(counts, np.float32(0.0), full_well, out=counts)
-        out[start:stop] = counts
+            lam_batch = lam_batch * jitter
+        # exact counts for the batch's small-lambda pixels, drawn in
+        # sub-batches of at most _CHUNK // 2 pixels whose sampler arrays
+        # stay in cache even when the whole batch is dark
+        small = np.flatnonzero(lam_batch < NORMAL_APPROX_THRESHOLD)
+        small_counts = np.empty(len(small), dtype=np.float32)
+        for at in range(0, len(small), _CHUNK // 2):
+            part = small[at:at + _CHUNK // 2]
+            lam_part = lam_batch[part]
+            idx = np.uint64(first) + part.astype(np.uint64)
+            low = lam_part < INVERSION_THRESHOLD
+            drawn = small_counts[at:at + len(part)]
+            drawn[low] = _poisson_inversion(small_base, idx[low], lam_part[low])
+            drawn[~low] = _poisson_ptrs(small_base, idx[~low], lam_part[~low])
+        for start in range(0, len(lam_batch), _CHUNK):
+            stop = min(start + _CHUNK, len(lam_batch))
+            lam32 = lam_batch[start:stop].astype(np.float32)
+            counts = _chunk_normals(base, first + start, stop - start)
+            counts *= np.sqrt(lam32)
+            counts += lam32
+            np.rint(counts, out=counts)
+            # the normal draws of small-lambda pixels are overwritten by exact counts
+            lo, hi = np.searchsorted(small, (start, stop))
+            counts[small[lo:hi] - start] = small_counts[lo:hi]
+            if sigma_r > 0:
+                np.maximum(counts, np.float32(0.0), out=counts)  # the clip floors otherwise
+                noise = _chunk_normals(noise_base, first + start, stop - start)
+                noise *= np.float32(sigma_r)
+                np.rint(noise, out=noise)
+                counts += noise
+            np.clip(counts, np.float32(0.0), full_well, out=counts)
+            out[first + start:first + stop] = counts
     return RawImage(width=scene.width, height=scene.height,
                     pixels=out.reshape(scene.height, scene.width))
 

@@ -24,6 +24,7 @@ The receiver does not know where the coded data ends among the filler;
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
 
@@ -97,20 +98,19 @@ def _gf_poly_eval(poly, x):
     return y
 
 
-def _generator_poly(nsym: int):
+@functools.cache
+def _generator_products(nsym: int) -> np.ndarray:
+    """Row c holds c times each generator coefficient below the leading 1,
+    highest degree first: the bytes one division step XORs in."""
     g = [1]
     for i in range(nsym):
         g = _gf_poly_mul(g, [1, _GF_EXP_INT[i]])  # root alpha^i
-    return g
-
-
-_GEN_CACHE: dict[int, list[int]] = {}
-
-
-def _gen_poly(nsym: int) -> list[int]:
-    if nsym not in _GEN_CACHE:
-        _GEN_CACHE[nsym] = _generator_poly(nsym)
-    return _GEN_CACHE[nsym]
+    coefs = np.array(g[1:])
+    table = GF_EXP[GF_LOG[:, None] + GF_LOG[coefs][None, :]]
+    table[0] = 0
+    table[:, coefs == 0] = 0
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -122,20 +122,6 @@ def _check_parity(parity_symbols: int) -> None:
         raise CodecError(
             f"parity_symbols must be even and in [2, 254], got {parity_symbols}"
         )
-
-
-def _rs_encode_block(data: bytes, nsym: int) -> bytes:
-    """Systematic encoding: remainder of data * x^nsym by the generator."""
-    gen = _gen_poly(nsym)
-    log_gen = np.array([_GF_LOG_INT[c] for c in gen[1:]], dtype=np.int32)
-    rem = np.zeros(nsym, dtype=np.uint8)
-    for b in data:
-        coef = int(rem[0]) ^ b
-        rem[:-1] = rem[1:]
-        rem[-1] = 0
-        if coef:
-            rem ^= GF_EXP[log_gen + _GF_LOG_INT[coef]]
-    return rem.tobytes()
 
 
 def _rs_syndromes(block: bytes, nsym: int) -> list[int]:
@@ -232,14 +218,29 @@ def rs_encode(payload: bytes, parity_symbols: int) -> bytes:
     """Frame the payload (u32 length + u32 CRC-32, big-endian) and append
     `parity_symbols` Reed-Solomon bytes per block of (255 - parity) data."""
     _check_parity(parity_symbols)
-    framed = _frame(bytes(payload))
+    framed = np.frombuffer(_frame(bytes(payload)), dtype=np.uint8)
     k = 255 - parity_symbols
-    out = bytearray()
-    for start in range(0, len(framed), k):
-        chunk = framed[start:start + k]
-        out += chunk
-        out += _rs_encode_block(chunk, parity_symbols)
-    return bytes(out)
+    n_blocks = -(-len(framed) // k)
+    # Leading zeros leave a systematic remainder unchanged, so the short last
+    # block is left-padded to k bytes and all blocks divide in lockstep.
+    pad = n_blocks * k - len(framed)
+    last = (n_blocks - 1) * k
+    data = np.zeros(n_blocks * k, dtype=np.uint8)
+    data[:last] = framed[:last]
+    data[last + pad:] = framed[last:]
+    data = data.reshape(n_blocks, k)
+    # synthetic division of data * x^parity by the generator, one byte
+    # position of every block per step: the parity columns end as the
+    # remainder, the data columns as scratch that is then restored
+    work = np.zeros((n_blocks, 255), dtype=np.uint8)
+    work[:, :k] = data
+    products = _generator_products(parity_symbols)
+    for i in range(k):
+        work[:, i + 1:i + 1 + parity_symbols] ^= products[work[:, i]]
+    work[:, :k] = data
+    coded = work.reshape(-1)
+    cut = (n_blocks - 1) * 255
+    return coded[:cut].tobytes() + coded[cut + pad:].tobytes()
 
 
 def rs_decode(coded: bytes, parity_symbols: int) -> bytes:
@@ -341,16 +342,55 @@ def mixing_permutation(slot_count: int, mixing_seed: int) -> np.ndarray:
     """Fisher-Yates shuffle of the identity permutation of byte slots.
 
     Driven by the splitmix64 stream of `mixing_seed`, iterating
-    i = slot_count-1 .. 1 and swapping with an unbiased draw in [0, i].
+    i = slot_count-1 .. 1 and swapping with an unbiased draw j_i in [0, i].
     Bit-exact across implementations; see tests/golden for frozen vectors.
+
+    The same shuffle is computed without a swap loop. Position i is final
+    after step i, holding what position j_i held just before it: the
+    content brought by the latest earlier step s > i with j_s = j_i, or j_i
+    itself when there was none. What step s brings is in turn what position
+    s held before step s, found the same way with partner s, so each content
+    is the end of a chain of steps; chains are resolved by pointer doubling.
     """
     if slot_count < 1:
         raise CodecError("slot_count must be >= 1")
-    perm = list(range(slot_count))
-    draws = _draws_below(mixing_seed, np.arange(slot_count, 1, -1, dtype=np.uint64))
-    for i, j in zip(range(slot_count - 1, 0, -1), draws.tolist()):
-        perm[i], perm[j] = perm[j], perm[i]
-    return np.asarray(perm, dtype=np.int64)
+    n = slot_count
+    if n >= 1 << 31:
+        raise CodecError("slot_count must be below 2**31")
+    # keys (j_i << 32) | i, with j_0 = 0 for the step-less position 0, sorted:
+    # the steps grouped by partner, each group in increasing step order
+    keys = np.zeros(n, dtype=np.uint64)
+    keys[:0:-1] = _draws_below(mixing_seed, np.arange(n, 1, -1, dtype=np.uint64))
+    keys <<= np.uint64(32)
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort()
+    partner = np.empty(n + 1, dtype=np.int32)  # the sentinel -1 ends each array
+    partner[:n] = keys >> np.uint64(32)
+    partner[n] = -1
+    step = np.empty(n + 1, dtype=np.int32)
+    step[:n] = keys & np.uint64(0xFFFFFFFF)
+    step[n] = -1
+    del keys
+    # the first step after s with partner s: the start of group s (read only
+    # when j_s != s, so that every step of group s is later than s)
+    s = np.arange(n, dtype=np.int32)
+    first = np.cumsum(np.bincount(partner[:n], minlength=n))
+    first[1:] = first[:-1]
+    first[0] = 0
+    chain = np.where(partner[first] == s, step[first], s)
+    del first
+    while True:
+        ahead = chain[chain]
+        if np.array_equal(ahead, chain):
+            break
+        chain = ahead
+    del ahead
+    # step i takes what the next step of its group brought, else j_i itself
+    same = partner[1:] == partner[:-1]
+    content = np.where(same, chain[step[1:]], partner[:n])
+    perm = np.empty(n, dtype=np.int64)
+    perm[step[:n]] = content
+    return perm
 
 
 def keyed_filler_bits(count: int, seed: int) -> np.ndarray:

@@ -56,7 +56,7 @@ class StegoParams:
         return mask
 
     def capacity_bits(self, img: RawImage) -> int:
-        return int(self.mask_for(img).sum()) // self.block_pixels
+        return int(np.count_nonzero(self.mask_for(img))) // self.block_pixels
 
 
 @dataclass
@@ -119,7 +119,7 @@ def extract(stego: RawImage, key: RawImage, params: StegoParams) -> DecodedBits:
     mask = _usable(params, key)
     usable = diff if mask is None else diff[mask]
     bits = usable[:len(usable) // g * g].reshape(-1, g).any(axis=1).astype(np.uint8)
-    return DecodedBits(bits=bits, raw_mismatch_count=int(diff.sum()))
+    return DecodedBits(bits=bits, raw_mismatch_count=int(np.count_nonzero(diff)))
 
 
 def collision_rate(key: RawImage, cover: RawImage,

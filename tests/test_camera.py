@@ -68,13 +68,16 @@ def test_capture_independent_of_chunking(monkeypatch):
     """Counter-based draws: slab size is an implementation detail and must
     never show in the output (stands in for any parallel evaluation order).
     The inputs cover every kind of slab: mixed with saturated and dark
-    tiles, a gradient crossing lambda=60 inside slabs, all large, all small."""
+    tiles, a gradient crossing lambda=60 inside slabs, all large, all small,
+    and one batch of slabs holding more small-lambda pixels than one
+    sub-batch of the exact samplers draws."""
     cases = [
         (make_scene(300, 77, "pcb", 3000), SensorConfig(seed=77, read_noise_sigma=4.0)),
         (make_scene(200, 50, "gradient", 50.0),
          SensorConfig(seed=78, read_noise_sigma=2.0, exposure_jitter_fraction=0.05)),
         (make_scene(100, 60, "flat", 1e4), SensorConfig(seed=79)),
         (make_scene(100, 60, "flat", 7.5), SensorConfig(seed=80)),
+        (make_scene(400, 400, "flat", 30.0), SensorConfig(seed=81)),
     ]
     baselines = [capture(scene, sensor, 0) for scene, sensor in cases]
     monkeypatch.setattr(camera, "_CHUNK", 1234)
@@ -201,3 +204,19 @@ def test_sensor_config_validation():
         SensorConfig(read_noise_sigma=-1)
     with pytest.raises(ValueError):
         SensorConfig(exposure_jitter_fraction=1.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_inputs_rejected(value):
+    """NaN passes a `< 0` test and would be cast to zero counts; infinity
+    would saturate every pixel or fill the image with clipped noise."""
+    with pytest.raises(ValueError, match="finite"):
+        make_scene(8, 8, "flat", value)
+    with pytest.raises(ValueError, match="finite"):
+        make_scene(8, 8, "gradient", value)
+    lam = np.full((4, 4), 100.0)
+    lam[2, 3] = value
+    with pytest.raises(ValueError, match="finite"):
+        camera.SceneRadiance(width=4, height=4, lam=lam)
+    with pytest.raises(ValueError, match="finite"):
+        SensorConfig(read_noise_sigma=value)

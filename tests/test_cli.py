@@ -92,6 +92,18 @@ def test_unsuitable_inputs_exit_2(ws, warden_ws):
                "--report-out", ws("r2.txt")) == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--mean-level", "nan"), ("--mean-level", "inf"),
+    ("--read-noise-sigma", "nan"), ("--read-noise-sigma", "inf")])
+def test_non_finite_capture_inputs_exit_2(ws, flag, value):
+    """A non-finite level or noise sigma is refused like a negative one:
+    exit 2 and no image written."""
+    assert run("capture", "--width", "16", "--height", "16", flag, value,
+               "--key-out", ws("k.pgm"), "--cover-out", ws("c.pgm")) == 2
+    assert not os.path.exists(ws("k.pgm"))
+    assert not os.path.exists(ws("c.pgm"))
+
+
 def test_message_too_large_exits_1(ws):
     assert run("capture", "--width", "64", "--height", "64",
                "--key-out", ws("k.pgm"), "--cover-out", ws("c.pgm")) == 0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import zlib
@@ -228,11 +229,93 @@ def _rs_parity_naive(data, nsym):
 
 
 def test_rs_parity_matches_independent_implementation():
+    """The parity bytes of one-block `rs_encode` outputs; each drawn data
+    block is cut to leave room for the 8-byte framing header."""
     r = random.Random(4)
     for _ in range(40):
         nsym = r.choice([2, 4, 8, 16, 32])
         data = r.randbytes(r.randint(1, 255 - nsym))
-        assert codec._rs_encode_block(data, nsym) == _rs_parity_naive(data, nsym)
+        coded = rs_encode(data[:255 - nsym - 8], nsym)
+        assert len(coded) <= 255  # one block
+        assert coded[-nsym:] == _rs_parity_naive(coded[:-nsym], nsym)
+
+
+def _rs_parity_reference(data: bytes, nsym: int) -> bytes:
+    """Scalar systematic encoder, one block, one byte per step: the
+    remainder of data * x^nsym by the generator, shifted through an LFSR.
+    The reference the block-batched `rs_encode` must reproduce."""
+    gen = [1]
+    for i in range(nsym):  # times (x - alpha^i)
+        shifted = gen + [0]
+        for j, c in enumerate(gen):
+            shifted[j + 1] ^= _gf_mul_naive(c, int(codec.GF_EXP[i]))
+        gen = shifted
+    log_gen = codec.GF_LOG[np.array(gen[1:])]
+    rem = np.zeros(nsym, dtype=np.uint8)
+    for b in data:
+        coef = int(rem[0]) ^ b
+        rem[:-1] = rem[1:]
+        rem[-1] = 0
+        if coef:
+            rem ^= codec.GF_EXP[log_gen + int(codec.GF_LOG[coef])]
+    return rem.tobytes()
+
+
+def _rs_encode_reference(payload: bytes, nsym: int) -> bytes:
+    framed = len(payload).to_bytes(4, "big") + zlib.crc32(payload).to_bytes(4, "big") + payload
+    k = 255 - nsym
+    out = b""
+    for start in range(0, len(framed), k):
+        out += framed[start:start + k] + _rs_parity_reference(framed[start:start + k], nsym)
+    return out
+
+
+@st.composite
+def _payload_of_at_most_three_blocks(draw):
+    nsym = draw(st.integers(min_value=1, max_value=127)) * 2
+    size = draw(st.integers(min_value=0, max_value=max(0, 3 * (255 - nsym) - 8)))
+    return draw(st.binary(min_size=size, max_size=size)), nsym
+
+
+@settings(max_examples=60, deadline=None)
+@given(_payload_of_at_most_three_blocks())
+def test_rs_encode_matches_scalar_reference(case):
+    payload, nsym = case
+    assert rs_encode(payload, nsym) == _rs_encode_reference(payload, nsym)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# SHA-256 of outputs at bigframe scale, recorded from the swap-loop
+# permutation and the per-block scalar encoder they must keep matching.
+@pytest.mark.parametrize("slots, seed, digest", [
+    (260014, 1, "2fe96b9ac358ca5a611969d7366a4d5c2cbf7f3baeca2573ea8a879fcfe62ebd"),
+    (2**21, 7919, "1a01fbbc5469e42b5bd64f90554b62c89c0302154e76744b6da34679ebd29a55"),
+])
+def test_permutation_bytes_pinned_at_scale(slots, seed, digest):
+    assert _sha256(mixing_permutation(slots, seed).astype("<i8").tobytes()) == digest
+
+
+@pytest.mark.parametrize("size, parity, digest", [
+    (16384, 8, "112447d302a4d21da6fd21f5cca3646b7fb1242e14991ab6adfedf2187a6b7bf"),
+    (16384, 32, "4cdf03b015b033806cb35159bf9748bee16c5fcf6f37aecea14f319bb4c19981"),
+    (16384, 254, "7bfe43e5731c62e5968cdef0b5d061353d5053642e1f385d87631896be8ca92e"),
+    # framed lengths 222, 223, 231 and 232 straddle a full block of 223
+    # data bytes at parity 32 and of 231 at parity 24
+    (214, 32, "5304d155c1c76f0bd8d310f224704c3a5e52aceb0acb2958955e8f8ff716b37a"),
+    (215, 32, "4452ad9774c267d32544f9825325a00691014d9fd0382606f876ce8f97ebe2ae"),
+    (223, 32, "463f25c47aef29bdb7400da7935c48bb5a8c7d7a2dd5be2167b95530dbea26c8"),
+    (224, 32, "d6f4fc72348877c5719693b266ca5449dacefbd3f84f1c541e0c328b8704813c"),
+    (214, 24, "a9e789b3a515465550a8062a4191e10f5c70e837a12e5214d3125ac47d9913af"),
+    (215, 24, "abd5501f8cdeb0b377c1c3c79dfbd10e13650307b297315bd7c81f69349a0a16"),
+    (223, 24, "309fc035a7d06c5a163246e42bdb395dbfdb6c2e09e82b4f6647dac5d7a19482"),
+    (224, 24, "ebaba0f77e6dec2259bceebf623a6f2e3db30abbd7c2feefd7155170c37cd7ee"),
+])
+def test_rs_encode_bytes_pinned(size, parity, digest):
+    payload = random.Random(size).randbytes(size)
+    assert _sha256(rs_encode(payload, parity)) == digest
 
 
 def _filler_bytes(count: int, seed: int) -> bytes:
@@ -288,6 +371,8 @@ def test_permutation_slot_count_one():
 def test_permutation_zero_slots_rejected():
     with pytest.raises(CodecError):
         mixing_permutation(0, 1)
+    with pytest.raises(CodecError):  # past the int32 step indices
+        mixing_permutation(2**31, 1)
 
 
 @settings(max_examples=20, deadline=None)
