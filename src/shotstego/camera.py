@@ -237,15 +237,17 @@ def _poisson_ptrs(base: int, idx: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """
     counts = np.floor(lam)
     pending = np.arange(len(lam))
+    # the lambda-only terms, computed once and subset with the pending pixels
+    b = 0.931 + 2.53 * np.sqrt(lam)
+    a = -0.059 + 0.02483 * b
+    v_r = 0.9277 - 3.6224 / (b - 2.0)
     for attempt in range(_PTRS_MAX_ATTEMPTS):
-        b = 0.931 + 2.53 * np.sqrt(lam)
-        a = -0.059 + 0.02483 * b
         u = _uniforms64(base, idx, 2 * attempt) - 0.5
         v = _uniforms64(base, idx, 2 * attempt + 1)
         us = 0.5 - np.abs(u)
         with np.errstate(divide="ignore"):  # us == 0 gives k = -inf, rejected
             k = np.floor((2.0 * a / us + b) * u + lam + 0.43)
-        accept = (us >= 0.07) & (v <= 0.9277 - 3.6224 / (b - 2.0))
+        accept = (us >= 0.07) & (v <= v_r)
         test = np.flatnonzero(~accept & (k >= 0) & ((us >= 0.013) | (v <= us)))
         if len(test):
             at, bt, kt, lt, ut = a[test], b[test], k[test], lam[test], us[test]
@@ -254,10 +256,11 @@ def _poisson_ptrs(base: int, idx: np.ndarray, lam: np.ndarray) -> np.ndarray:
                        - np.log(at / (ut * ut) + bt))
             accept[test] = lhs <= -lt + kt * np.log(lt) - gammaln(kt + 1.0)
         counts[pending[accept]] = k[accept]
-        rejected = ~accept
-        pending, idx, lam = pending[rejected], idx[rejected], lam[rejected]
-        if not len(pending):
+        rejected = np.flatnonzero(~accept)
+        if not len(rejected):
             break
+        pending, idx, lam, a, b, v_r = (
+            x[rejected] for x in (pending, idx, lam, a, b, v_r))
     return counts
 
 

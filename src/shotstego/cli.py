@@ -14,6 +14,7 @@ artifact survives an error. Every run with fixed seeds is byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -76,7 +77,10 @@ def _add_plan_flags(p: _Parser) -> None:
                    help="full well used to derive the usable-pixel mask")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process and shared by every
+    call (argparse keeps no state between parses)."""
     parser = _Parser(prog="shotstego", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)

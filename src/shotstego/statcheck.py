@@ -26,12 +26,13 @@ forced 50/50 splits contradict the prediction and the p-value collapses.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import chdtrc
 
 from .camera import SceneRadiance, SensorConfig, capture
 from .imageio import PGM_MAXVAL, RawImage
@@ -95,14 +96,25 @@ class Histogram:
         return int(self.bin_edges[1] - self.bin_edges[0])
 
 
+@functools.lru_cache(maxsize=16)
+def _bin_edges(bin_width: int) -> np.ndarray:
+    """The read-only edges of the bins of bin_width covering the 16-bit
+    range, one array per width, shared by every histogram of that width."""
+    nbins = -(-_NVALUES // bin_width)
+    edges = np.arange(nbins + 1, dtype=np.int64) * bin_width
+    edges.flags.writeable = False
+    return edges
+
+
 def histogram(img: RawImage, region: Region, bin_width: int = 1) -> Histogram:
     """Histogram of pixel values in the region; bins of bin_width counts."""
     if bin_width < 1:
         raise ValueError("bin_width must be >= 1")
     vals = _region_values(img, region)
-    nbins = -(-_NVALUES // bin_width)
-    counts = np.bincount(vals // bin_width, minlength=nbins).astype(np.int64)
-    edges = np.arange(nbins + 1, dtype=np.int64) * bin_width
+    edges = _bin_edges(bin_width)
+    if bin_width > 1:
+        vals = vals // bin_width
+    counts = np.bincount(vals, minlength=len(edges) - 1)
     return Histogram(bin_edges=edges, counts=counts, total=int(vals.size))
 
 
@@ -110,15 +122,27 @@ def kl_divergence(p_hist: Histogram, q_hist: Histogram, smoothing: float = 0.5) 
     """D(P || Q) in bits over additively smoothed bin probabilities.
 
     Zero iff the smoothed distributions coincide; always >= 0 (Gibbs).
+
+    A bin empty in both histograms contributes the same term, exactly 0.0
+    when the totals are equal, so only the populated bins are computed; the
+    terms are summed over all bins in one pass, which gives the same float
+    as evaluating every bin.
     """
     if smoothing <= 0:
         raise ValueError("smoothing must be > 0")
-    if not np.array_equal(p_hist.bin_edges, q_hist.bin_edges):
+    if p_hist.bin_edges is not q_hist.bin_edges \
+            and not np.array_equal(p_hist.bin_edges, q_hist.bin_edges):
         raise ValueError("histograms use different binning")
     nbins = len(p_hist.counts)
-    p = (p_hist.counts + smoothing) / (p_hist.total + smoothing * nbins)
-    q = (q_hist.counts + smoothing) / (q_hist.total + smoothing * nbins)
-    return float(np.sum(p * np.log2(p / q)))
+    p_norm = p_hist.total + smoothing * nbins
+    q_norm = q_hist.total + smoothing * nbins
+    p_empty, q_empty = smoothing / np.array([p_norm, q_norm], dtype=np.float64)
+    terms = np.full(nbins, p_empty * np.log2(p_empty / q_empty))
+    used = np.flatnonzero(p_hist.counts | q_hist.counts)
+    p = (p_hist.counts[used] + smoothing) / p_norm
+    q = (q_hist.counts[used] + smoothing) / q_norm
+    terms[used] = p * np.log2(p / q)
+    return float(np.sum(terms))
 
 
 def histogram_csv(hist: Histogram) -> bytes:
@@ -158,16 +182,21 @@ def autocorrelation(key: RawImage, cover: RawImage, max_lag: int = AUTOCORR_LAGS
         raise ValueError("image dimensions do not match")
     if not (1 <= max_lag < key.width):
         raise ValueError("max_lag must be in [1, width)")
-    d = key.pixels.astype(np.int64) - cover.pixels.astype(np.int64)
-    mu = d.mean()
-    var = np.mean((d - mu) ** 2)
+    d = key.pixels.astype(np.int64)
+    d -= cover.pixels
+    centred = d - d.mean()
+    # every product goes to one buffer, as a C-contiguous view, which
+    # np.mean sums in the same order as a newly allocated product
+    h, w = centred.shape
+    prod = np.empty(centred.size)
+    var = np.mean(np.multiply(centred, centred, out=prod.reshape(h, w)))
     if var == 0:
         raise ValueError("difference image is constant; identical captures?")
     rho = np.empty(max_lag, dtype=np.float64)
     for lag in range(1, max_lag + 1):
-        a = d[:, :-lag] - mu
-        b = d[:, lag:] - mu
-        rho[lag - 1] = np.mean(a * b) / var
+        lagged = prod[:h * (w - lag)].reshape(h, w - lag)
+        np.multiply(centred[:, :-lag], centred[:, lag:], out=lagged)
+        rho[lag - 1] = np.mean(lagged) / var
     return rho
 
 
@@ -183,8 +212,12 @@ def normalized_deviation(key: RawImage, cover: RawImage) -> float:
     ok = s >= 16
     if not ok.any():
         raise ValueError("no pixels with K + C >= 16")
-    r = (k[ok] - c[ok]) / np.sqrt(s[ok])
-    return float(np.sqrt(np.mean(r ** 2)))
+    # r = (K - C) / sqrt(K + C) over the whole frame, in place in k
+    k -= c
+    with np.errstate(divide="ignore", invalid="ignore"):  # K + C = 0 is dropped
+        k /= np.sqrt(s, out=s)
+    r = k[ok]
+    return float(np.sqrt(np.mean(np.square(r, out=r))))
 
 
 # ---------------------------------------------------------------------------
@@ -206,25 +239,26 @@ def chi_square_attack(img: RawImage, region: Region) -> float:
     vals = _region_values(img, region)
     if vals.size < 10_000:
         raise ValueError("chi-square attack needs a region of >= 1e4 pixels")
-    counts = np.bincount(vals, minlength=_NVALUES).astype(np.float64)
+    counts = np.bincount(vals, minlength=_NVALUES)
     even = counts[0::2]
-    odd = counts[1::2]
-    m = even + odd
+    m = even + counts[1::2]
     ok = m >= _CHI2_MIN_PAIR
-    ok &= np.roll(m, 1) >= _CHI2_MIN_PAIR
-    ok &= np.roll(m, -1) >= _CHI2_MIN_PAIR
+    ok[1:-1] &= (m[:-2] >= _CHI2_MIN_PAIR) & (m[2:] >= _CHI2_MIN_PAIR)
     ok[0] = ok[-1] = False
     kk = np.flatnonzero(ok)
     if kk.size == 0:
         raise ValueError("insufficient samples: no well-populated value pairs")
-    rho = (m[kk + 1] / m[kk - 1]) ** 0.25
+    # integer counts are exact in float64; only the selected pairs are converted
+    m_k, m_next, m_prev, even_k = (
+        x.astype(np.float64) for x in (m[kk], m[kk + 1], m[kk - 1], even[kk]))
+    rho = (m_next / m_prev) ** 0.25
     q = 1.0 / (1.0 + rho)
-    expected = m[kk] * q
-    var_log_rho = (1.0 / m[kk + 1] + 1.0 / m[kk - 1]) / 16.0
+    expected = m_k * q
+    var_log_rho = (1.0 / m_next + 1.0 / m_prev) / 16.0
     var_q = (rho / (1.0 + rho) ** 2) ** 2 * var_log_rho
-    variance = m[kk] * q * (1.0 - q) + m[kk] ** 2 * var_q
-    stat = float(np.sum((even[kk] - expected) ** 2 / variance))
-    return float(sps.chi2.sf(stat, df=kk.size))
+    variance = m_k * q * (1.0 - q) + m_k ** 2 * var_q
+    stat = float(np.sum((even_k - expected) ** 2 / variance))
+    return float(chdtrc(kk.size, stat))  # the chi-square survival function
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +296,8 @@ class Calibration:
     normdev_dev_null: np.ndarray
 
     def reference_hist(self) -> Histogram:
-        nbins = len(self.reference_counts)
-        edges = np.arange(nbins + 1, dtype=np.int64) * self.bin_width
-        return Histogram(bin_edges=edges, counts=self.reference_counts,
-                         total=self.reference_total)
+        return Histogram(bin_edges=_bin_edges(self.bin_width),
+                         counts=self.reference_counts, total=self.reference_total)
 
     def threshold(self, name: str) -> float:
         null = {
@@ -356,13 +388,14 @@ def ward_test(img: RawImage, calibration: Optional[Calibration],
 
 def write_calibration(cal: Calibration) -> bytes:
     """Versioned structured text: header lines, then one line per
-    statistic's null samples, then the sparse reference histogram."""
+    statistic's null samples, then the sparse reference histogram. The
+    reference_total written is the sum of the reference counts."""
     lines = [
         "shotstego-calibration v1",
         f"scene {cal.scene_desc}",
         f"runs {cal.n_runs}",
         f"bin_width {cal.bin_width}",
-        f"reference_total {cal.reference_total}",
+        f"reference_total {int(cal.reference_counts.sum())}",
     ]
     for name, arr in (
         ("kl_null", cal.kl_null),
@@ -394,7 +427,9 @@ def _parse_null(fields: dict, name: str, length: int) -> np.ndarray:
 def read_calibration(data: bytes) -> Calibration:
     """Parse and validate a v1 calibration file; any defect raises
     CalibrationError. The KL and chi-square nulls hold one value per run,
-    the pair-statistic nulls one per run pair (see build_calibration)."""
+    the pair-statistic nulls one per run pair (see build_calibration); the
+    reference counts are non-negative, list each bin once and sum to
+    reference_total."""
     lines = data.decode("utf-8").splitlines()
     if not lines or lines[0] != "shotstego-calibration v1":
         raise CalibrationError("not a calibration file (bad version header)")
@@ -410,19 +445,29 @@ def read_calibration(data: bytes) -> Calibration:
             raise CalibrationError(f"calibration bin_width {bin_width} is below 1")
         nbins = -(-_NVALUES // bin_width)
         counts = np.zeros(nbins, dtype=np.int64)
+        listed = 0
         for item in fields["reference_counts"].split():
             i, _, v = item.partition(":")
-            i = int(i)
+            i, v = int(i), int(v)
             if not 0 <= i < nbins:
                 raise CalibrationError(
                     f"reference_counts index {i} is outside [0, {nbins})")
-            counts[i] = int(v)
+            if v < 0:
+                raise CalibrationError(f"reference_counts bin {i} holds a negative count")
+            if counts[i]:
+                raise CalibrationError(f"reference_counts bin {i} is listed twice")
+            counts[i] = v
+            listed += v
+        total = int(fields["reference_total"])
+        if total != listed:
+            raise CalibrationError(
+                f"reference_total {total} differs from the sum of reference_counts {listed}")
         return Calibration(
             scene_desc=fields["scene"],
             n_runs=runs,
             bin_width=bin_width,
             reference_counts=counts,
-            reference_total=int(fields["reference_total"]),
+            reference_total=total,
             kl_null=_parse_null(fields, "kl_null", runs),
             chi2_logp_null=_parse_null(fields, "chi2_logp_null", runs),
             autocorr_max_null=_parse_null(fields, "autocorr_max_null", runs // 2),
@@ -430,3 +475,5 @@ def read_calibration(data: bytes) -> Calibration:
         )
     except KeyError as exc:
         raise CalibrationError(f"calibration file missing field {exc}") from exc
+    except OverflowError as exc:  # a count past int64
+        raise CalibrationError(f"calibration value out of range: {exc}") from exc

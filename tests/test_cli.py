@@ -188,6 +188,24 @@ def test_analyze_with_reference_pair(warden_ws):
     assert "norm_dev" in text and "autocorr" in text
 
 
+@pytest.mark.parametrize("old, new", [
+    ("\nreference_counts ", "\nreference_counts 5:-3 "),
+    ("\nreference_total 65536\n", "\nreference_total -65536\n"),
+])
+def test_analyze_rejects_inconsistent_reference_counts(warden_ws, ws, old, new):
+    """A negative count or a total that is not the sum of the counts would
+    make KL NaN, which no threshold trips: exit 2 and no report, not a
+    silent "clean"."""
+    with open(warden_ws("flat100.cal"), "rb") as fh:
+        text = fh.read().decode()
+    assert old in text
+    with open(ws("bad.cal"), "w") as fh:
+        fh.write(text.replace(old, new))
+    assert run("analyze", "--image", warden_ws("k.pgm"), "--calibration", ws("bad.cal"),
+               "--report-out", ws("r.txt"), "--fail-on-suspicious") == 2
+    assert not os.path.exists(ws("r.txt"))
+
+
 def test_analyze_rejects_invalid_calibration(warden_ws, ws, capsys):
     """A reference_counts index past the last bin: exit 2 with a one-line
     error, and no report."""

@@ -6,6 +6,9 @@ top level shows up here without running them.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +51,15 @@ def test_checker_flags_internal_names():
     source = ("from shotstego import embed_message, scatter\n"
               "from shotstego.codec import scatter\n")
     assert top_level_imports_outside_all(source) == ["line 1: scatter"]
+
+
+def test_import_leaves_scipy_stats_out():
+    """The package and its CLI use scipy.special only; importing scipy.stats
+    would add about 0.6 s and 45 MB to every process and CLI call."""
+    src = Path(shotstego.__file__).resolve().parents[1]
+    code = ("import sys, shotstego, shotstego.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

@@ -1,13 +1,15 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 from scipy import stats as sps
 
 from shotstego import codec, statcheck
 from shotstego.camera import SensorConfig, capture, capture_pair, make_scene
-from shotstego.imageio import RawImage
+from shotstego.imageio import RawImage, write_report
 from shotstego.statcheck import (
     CalibrationError,
     Region,
@@ -118,6 +120,66 @@ def test_kl_nonnegative_gibbs(c1, c2):
         assert d == 0.0
 
 
+def _kl_dense_reference(p_hist, q_hist, smoothing):
+    """D(P || Q) evaluated on every bin, empty or not: the reference that
+    kl_divergence must match bit for bit."""
+    nbins = len(p_hist.counts)
+    p = (p_hist.counts + smoothing) / (p_hist.total + smoothing * nbins)
+    q = (q_hist.counts + smoothing) / (q_hist.total + smoothing * nbins)
+    return float(np.sum(p * np.log2(p / q)))
+
+
+def _sparse_hist(bins, bin_width):
+    """A histogram of bin_width from {bin index: count}."""
+    nbins = -(-65536 // bin_width)
+    counts = np.zeros(nbins, dtype=np.int64)
+    for i, c in bins.items():
+        counts[i % nbins] += c
+    edges = np.arange(nbins + 1, dtype=np.int64) * bin_width
+    return statcheck.Histogram(bin_edges=edges, counts=counts, total=int(counts.sum()))
+
+
+_sparse_bins = st.dictionaries(st.integers(0, 65535), st.integers(1, 5000), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_bins, _sparse_bins, st.sampled_from([1, 2, 7, 64, 1000]),
+       st.one_of(st.sampled_from([0.1, 0.5, 1, 3.3]),
+                 st.floats(1e-6, 100.0, allow_nan=False)))
+def test_kl_equals_dense_reference_bitwise(p_bins, q_bins, bin_width, smoothing):
+    """Empty, equal and unequal totals, several bin widths and smoothings:
+    the populated-bin evaluation returns exactly the dense float."""
+    p, q = _sparse_hist(p_bins, bin_width), _sparse_hist(q_bins, bin_width)
+    for a, b in ((p, q), (q, p), (p, p)):
+        assert kl_divergence(a, b, smoothing) == _kl_dense_reference(a, b, smoothing)
+
+
+@pytest.mark.parametrize("bin_width", [1, 2, 7, 64])
+def test_kl_equals_dense_reference_on_captures(bin_width):
+    """Captures at two light levels, the LSB-embedded one and a sub-region
+    (unequal totals), as calibration and ward_test compare them."""
+    scene = make_scene(128, 128, "flat", LAM_DETECT)
+    imgs = [capture(scene, SensorConfig(seed=41), i) for i in range(3)]
+    imgs.append(lsb_embed(imgs[0], codec.keyed_filler_bits(imgs[0].pixel_count, 3)))
+    imgs.append(flat_capture(42, n=128, lam=1e4))
+    region = full_region(imgs[0])
+    hists = [histogram(im, region, bin_width) for im in imgs]
+    hists.append(histogram(imgs[1], Region(5, 7, 50, 61), bin_width))
+    for a in hists:
+        for b in hists:
+            for smoothing in (0.1, 0.5, 1.0, 3.3):
+                assert kl_divergence(a, b, smoothing) == _kl_dense_reference(a, b, smoothing)
+
+
+def test_histograms_share_read_only_edges():
+    img = flat_capture(43, n=32)
+    h1 = histogram(img, full_region(img), 4)
+    h2 = histogram(img, Region(0, 0, 8, 8), 4)
+    assert h1.bin_edges is h2.bin_edges
+    assert not h1.bin_edges.flags.writeable
+    assert np.array_equal(h1.bin_edges, np.arange(16385, dtype=np.int64) * 4)
+
+
 def test_kl_continuous_in_smoothing():
     img_a, img_b = flat_capture(6, n=64), flat_capture(7, n=64)
     ha = histogram(img_a, full_region(img_a))
@@ -213,6 +275,55 @@ def test_autocorrelation_matches_brute_force():
     assert ((d - mu) ** 2).mean() / d.var() == pytest.approx(1.0)
 
 
+def _autocorr_reference(key, cover, max_lag):
+    """Each lag's product formed from freshly centred slices."""
+    d = key.pixels.astype(np.int64) - cover.pixels.astype(np.int64)
+    mu = d.mean()
+    var = np.mean((d - mu) ** 2)
+    return np.array([np.mean((d[:, :-lag] - mu) * (d[:, lag:] - mu)) / var
+                     for lag in range(1, max_lag + 1)])
+
+
+def _normdev_reference(key, cover):
+    """The deviation over the selected pixels only."""
+    k = key.pixels.astype(np.float64)
+    c = cover.pixels.astype(np.float64)
+    ok = k + c >= 16
+    r = (k[ok] - c[ok]) / np.sqrt(k[ok] + c[ok])
+    return float(np.sqrt(np.mean(r ** 2)))
+
+
+def _pair_cases():
+    """Capture pairs: shot noise at two levels, exposure jitter, a pcb
+    scene, rows longer than numpy's 128-element summation block, and one
+    with a dark band where K + C is 0 or below 16."""
+    cases = []
+    for lam, jitter, pattern, width in ((100.0, 0.0, "flat", 96), (1e4, 0.05, "flat", 96),
+                                        (3000.0, 0.0, "pcb", 96), (100.0, 0.0, "flat", 300)):
+        scene = make_scene(width, 64, pattern, lam)
+        cases.append(capture_pair(scene, SensorConfig(seed=46, exposure_jitter_fraction=jitter)))
+    key, cover = cases[0]
+    scale = np.ones((64, 1), dtype=np.uint16)
+    scale[10:20], scale[20:30] = 1000, 20  # K + C = 0, then about 10
+    shade = lambda img: RawImage(width=96, height=64,  # noqa: E731
+                                 pixels=img.pixels // scale)
+    cases.append((shade(key), shade(cover)))
+    return cases
+
+
+def test_pair_statistics_equal_references_bitwise():
+    import warnings
+    for key, cover in _pair_cases():
+        assert autocorrelation(key, cover, 8).tobytes() == \
+            _autocorr_reference(key, cover, 8).tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the dropped K + C = 0 pixels warn nothing
+            assert normalized_deviation(key, cover) == _normdev_reference(key, cover)
+    key, cover = _pair_cases()[-1]
+    assert np.any(key.pixels + cover.pixels == 0)
+    assert np.any((key.pixels + cover.pixels > 0) & (key.pixels + cover.pixels < 16))
+
+
 def test_autocorrelation_independent_pair_below_bound(flat_pair_1m):
     key, cover = flat_pair_1m
     rho = autocorrelation(key, cover, 8)
@@ -296,6 +407,53 @@ def test_chi2_detects_full_lsb_embedding():
         p = chi_square_attack(lsb_embed(img, bits), full_region(img))
         detected += p < 0.01
     assert detected >= 57  # 95% of 60
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 30000), st.floats(0.0, 1e5, allow_nan=False))
+def test_chi2_survival_equals_scipy_stats(df, x):
+    assert special.chdtrc(df, x) == sps.chi2.sf(x, df=df)
+
+
+def _chi2_stat_reference(img):
+    """The pairs-of-values statistic and its degrees of freedom, computed
+    on float counts over every value pair."""
+    counts = np.bincount(img.pixels.reshape(-1), minlength=65536).astype(np.float64)
+    even, odd = counts[0::2], counts[1::2]
+    m = even + odd
+    ok = (m >= 32) & (np.roll(m, 1) >= 32) & (np.roll(m, -1) >= 32)
+    ok[0] = ok[-1] = False
+    kk = np.flatnonzero(ok)
+    rho = (m[kk + 1] / m[kk - 1]) ** 0.25
+    q = 1.0 / (1.0 + rho)
+    var_log_rho = (1.0 / m[kk + 1] + 1.0 / m[kk - 1]) / 16.0
+    var_q = (rho / (1.0 + rho) ** 2) ** 2 * var_log_rho
+    variance = m[kk] * q * (1.0 - q) + m[kk] ** 2 * var_q
+    return float(np.sum((even[kk] - m[kk] * q) ** 2 / variance)), kk.size
+
+
+def test_chi2_pvalue_equals_scipy_stats_reference(monkeypatch):
+    """The statistic equals the float-count reference, and the p-value is
+    scipy.stats.chi2.sf of it at its degrees of freedom, bit for bit, on
+    clean, LSB, pixel-selection stego and pcb images."""
+    from shotstego.stego import StegoParams, embed
+    calls = []
+
+    def spy(df, stat):
+        calls.append((df, stat))
+        return special.chdtrc(df, stat)
+
+    monkeypatch.setattr(statcheck, "chdtrc", spy)
+    key, cover = capture_pair(make_scene(256, 256, "flat", LAM_DETECT), SensorConfig(seed=44))
+    bits = codec.keyed_filler_bits(key.pixel_count, 44)
+    images = [key, lsb_embed(key, bits), embed(key, cover, bits, StegoParams(block_pixels=1)),
+              capture(make_scene(128, 128, "pcb", 3000), SensorConfig(seed=45), 0)]
+    for img in images:
+        p = chi_square_attack(img, full_region(img))
+        df, stat = calls[-1]
+        assert (stat, df) == _chi2_stat_reference(img)
+        assert p == float(sps.chi2.sf(stat, df=df))
+    assert len(calls) == len(images)
 
 
 def test_chi2_clean_pvalues_uniform():
@@ -424,6 +582,11 @@ def _small_calibration_text() -> str:
     ("chi2_logp_null", "1 2 inf 4"),
     ("kl_null", "0.1 0.2 0.3"),            # 3 values under runs 4
     ("normdev_dev_null", "0.03 0.04 0.05"),  # pair nulls hold runs // 2
+    ("reference_counts", "99:1 100:5 101:-2"),  # negative count; sum still 4
+    ("reference_total", "-65536"),         # KL would be NaN, verdict "clean"
+    ("reference_total", "5"),              # counts sum to 4
+    ("reference_counts", "99:1 100:2 100:1"),  # a bin listed twice; sum still 4
+    ("reference_counts", "99:1 100:3 101:9223372036854775808"),  # past int64
 ])
 def test_calibration_rejects_invalid_fields(field, value):
     text = _small_calibration_text()
@@ -432,3 +595,60 @@ def test_calibration_rejects_invalid_fields(field, value):
              for line in text.splitlines()]
     with pytest.raises(CalibrationError):
         read_calibration(("\n".join(lines) + "\n").encode())
+
+
+def test_write_calibration_writes_the_sum_of_counts():
+    cal = read_calibration(_small_calibration_text().encode())
+    cal.reference_total = 99
+    assert b"\nreference_total 4\n" in write_calibration(cal)
+
+
+# ---------------------------------------------------------------------------
+# bit-identity pins
+# ---------------------------------------------------------------------------
+
+# name: (side, pattern, level, calibration seed, bin_width). The reports are
+# of capture 0 of the sensor seeded one higher (clean), that capture
+# LSB-embedded, and that capture with capture 1 as the reference.
+_PIN_SCENES = {
+    "flat-100": (256, "flat", 100.0, 1000, 1),
+    "flat-1e4": (256, "flat", 1e4, 708, 1),
+    "pcb-3000-w4": (128, "pcb", 3000.0, 4, 4),
+}
+
+# SHA-256 of the calibration and report bytes, recorded with the battery
+# evaluating KL on every bin and taking p-values from scipy.stats.chi2.sf.
+_PINS = {
+    "flat-100": {
+        "calibration": "5f73f7fc7233390a79b260f5dc0943167daceb866c35e7928aee99d2652c3e37",
+        "clean": "c0645f7a0cdb88d93d82fb32e0c038fb810895aa0ed1af28b980e360dacb4c44",
+        "lsb": "0879bffdce1b4871ab23fdb6e731cb0ccdf44582df62a783e14574869c4dc79c",
+        "reference": "65cdc2865af5b445df6957f586d72118b0bea1c417500dca963d680b43f67c03",
+    },
+    "flat-1e4": {
+        "calibration": "a668a1ec77b872dad001116262f4ff43d6319c5eb182e02a3efbe5ea1dc41f27",
+        "clean": "c5b8af1926c70e6b1d782d700e78366a0b98e558cc2d7954adb7c33ae5d3b148",
+        "lsb": "8db1d0c586b8cf5714f604fc4d68888bada6ceaab70dc0931bfcf206788ec826",
+        "reference": "49f067a151db1f89dcf51e3cc0ebafea7ad067e2c421b00306b138bf4a6b6c0f",
+    },
+    "pcb-3000-w4": {
+        "calibration": "f2e5e9b66ffbbf6ba31e6ddb36d3f7889cd6ac944b690beeccb768680145af1e",
+        "clean": "9e4a7b6f2e8400a740c47d4f98bc3f23360fa87215f64de82ddc7cf9d9fb2d73",
+        "lsb": "be3386d1b2ebe673fd04aab1c513fd5d82796995f8da8242832fc5eb0263b00f",
+        "reference": "0bc8b9023f1cb3ac84ad446073733e16a55ef3eca200b892c5577995ea06ce61",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PIN_SCENES))
+def test_calibration_and_report_bytes_pinned(name):
+    side, pattern, level, seed, bin_width = _PIN_SCENES[name]
+    scene = make_scene(side, side, pattern, level)
+    cal = build_calibration(scene, SensorConfig(seed=seed), runs=100, bin_width=bin_width)
+    key, cover = capture_pair(scene, SensorConfig(seed=seed + 1))
+    lsb = lsb_embed(key, codec.keyed_filler_bits(key.pixel_count, seed))
+    got = {"calibration": write_calibration(cal),
+           "clean": write_report(ward_test(key, cal)),
+           "lsb": write_report(ward_test(lsb, cal)),
+           "reference": write_report(ward_test(key, cal, reference=cover))}
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == _PINS[name]
