@@ -69,10 +69,17 @@ def _add_sensor_flags(p: _Parser) -> None:
     p.add_argument("--seed", type=int, default=1)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_plan_flags(p: _Parser) -> None:
     p.add_argument("--parity-symbols", type=int, default=8)
     p.add_argument("--mixing-seed", type=int, default=1)
-    p.add_argument("--block-pixels", type=int, default=1)
+    p.add_argument("--block-pixels", type=_positive_int, default=1)
     p.add_argument("--full-well", type=int, default=50000,
                    help="full well used to derive the usable-pixel mask")
 
@@ -160,7 +167,7 @@ def _cmd_embed(args) -> int:
         block_pixels=args.block_pixels, full_well=args.full_well)
     _write_atomic(args.stego_out, write_pgm16(result.stego_image))
     print(f"embedded {len(payload)} payload bytes "
-          f"({result.plan.coded_length} coded) into {args.stego_out}")
+          f"({result.coded_length} coded) into {args.stego_out}")
     return 0
 
 

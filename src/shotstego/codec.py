@@ -12,6 +12,9 @@ implementations interoperate:
     of (255 - parity) data bytes (last block shorter), each block extended
     with `parity` Reed-Solomon bytes over GF(2^8), primitive polynomial
     0x11D, generator alpha=2, systematic, parity roots alpha^0..alpha^(t-1).
+    Encoder and decoder hold the blocks as the rows of one array, the short
+    last block left-padded with zeros: leading zeros change neither a
+    block's parity nor its syndromes, so every block is coded in lockstep.
   * mixing permutation: backward Fisher-Yates driven by the splitmix64
     stream of the mixing seed (`rng`), bounded draws by rejection sampling.
   * filler: splitmix64 stream of (mixing_seed XOR rng.FILLER_SALT), 64-bit
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +53,7 @@ GF_GENERATOR = 2
 
 
 def _build_tables():
-    exp = np.zeros(512, dtype=np.uint8)
+    exp = np.zeros(1024, dtype=np.uint8)
     log = np.zeros(256, dtype=np.int32)
     x = 1
     for i in range(255):
@@ -61,17 +63,19 @@ def _build_tables():
         if x & 0x100:
             x ^= GF_PRIM_POLY
     exp[255:510] = exp[0:255]  # doubled so products need no mod 255
+    # log 0 is a sentinel: any sum with it lands in the zero tail exp[510:],
+    # so a product with zero needs no mask
+    log[0] = 510
     return exp, log
 
 
 GF_EXP, GF_LOG = _build_tables()
 _GF_EXP_INT = [int(v) for v in GF_EXP]
 _GF_LOG_INT = [int(v) for v in GF_LOG]
+_EVAL_CELLS = 1 << 18  # index cells per _gf_eval chunk: 2 MiB of int64
 
 
 def _gf_mul(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
     return _GF_EXP_INT[_GF_LOG_INT[a] + _GF_LOG_INT[b]]
 
 
@@ -82,20 +86,23 @@ def _gf_inv(a: int) -> int:
 def _gf_poly_mul(p, q):
     r = [0] * (len(p) + len(q) - 1)
     for j, qj in enumerate(q):
-        if qj == 0:
-            continue
         for i, pi in enumerate(p):
-            if pi:
-                r[i + j] ^= _gf_mul(pi, qj)
+            r[i + j] ^= _gf_mul(pi, qj)
     return r
 
 
-def _gf_poly_eval(poly, x):
-    """Horner evaluation, coefficients highest degree first."""
-    y = poly[0]
-    for c in poly[1:]:
-        y = _gf_mul(y, x) ^ c
-    return y
+def _gf_eval(coefs: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """Evaluate each row of `coefs` (coefficients lowest degree first) at
+    alpha^e for each e in `exponents`: out[r, j] is the XOR over degrees d of
+    coefs[r, d] * alpha^(exponents[j] * d). Rows go in chunks of at most
+    _EVAL_CELLS products."""
+    powers = np.outer(exponents, np.arange(coefs.shape[1])) % 255
+    out = np.empty((len(coefs), len(exponents)), dtype=np.uint8)
+    step = _EVAL_CELLS // powers.size
+    for i in range(0, len(coefs), step):
+        terms = GF_EXP[GF_LOG[coefs[i:i + step]][:, None, :] + powers]
+        out[i:i + step] = np.bitwise_xor.reduce(terms, axis=2)
+    return out
 
 
 @functools.cache
@@ -105,10 +112,7 @@ def _generator_products(nsym: int) -> np.ndarray:
     g = [1]
     for i in range(nsym):
         g = _gf_poly_mul(g, [1, _GF_EXP_INT[i]])  # root alpha^i
-    coefs = np.array(g[1:])
-    table = GF_EXP[GF_LOG[:, None] + GF_LOG[coefs][None, :]]
-    table[0] = 0
-    table[:, coefs == 0] = 0
+    table = GF_EXP[GF_LOG[:, None] + GF_LOG[np.array(g[1:])][None, :]]
     table.flags.writeable = False
     return table
 
@@ -124,24 +128,8 @@ def _check_parity(parity_symbols: int) -> None:
         )
 
 
-def _rs_syndromes(block: bytes, nsym: int) -> list[int]:
-    n = len(block)
-    arr = np.frombuffer(block, dtype=np.uint8)
-    nz = np.nonzero(arr)[0]
-    if len(nz) == 0:
-        return [0] * nsym
-    logs = GF_LOG[arr[nz]]
-    degrees = (n - 1 - nz).astype(np.int64)
-    synd = []
-    for i in range(nsym):
-        idx = (logs + i * degrees) % 255
-        synd.append(int(np.bitwise_xor.reduce(GF_EXP[idx])))
-    return synd
-
-
 def _berlekamp_massey(synd: list[int], nsym: int) -> list[int]:
-    """Error locator polynomial (lowest degree first is NOT used here;
-    returned highest degree first, matching _gf_poly_eval)."""
+    """Error locator polynomial, highest degree first."""
     err_loc = [1]
     old_loc = [1]
     for i in range(nsym):
@@ -167,46 +155,52 @@ def _berlekamp_massey(synd: list[int], nsym: int) -> list[int]:
     return err_loc
 
 
-def _rs_correct_block(block: bytes, nsym: int) -> bytes:
-    """Correct up to nsym // 2 byte errors in one block, raise otherwise."""
-    synd = _rs_syndromes(block, nsym)
-    if max(synd) == 0:
-        return block
-    err_loc = _berlekamp_massey(synd, nsym)
-    n_err = len(err_loc) - 1
+def _rs_errors(synd: list[int], length: int, nsym: int) -> tuple[np.ndarray, np.ndarray]:
+    """Degrees and values of the errors behind nonzero syndromes of a block
+    of `length` bytes; raises DecodeError beyond nsym // 2 errors."""
+    locator = _berlekamp_massey(synd, nsym)[::-1]  # lowest degree first
+    n_err = len(locator) - 1
     if n_err == 0 or n_err > nsym // 2:
         raise DecodeError("uncorrectable block: too many errors")
-    n = len(block)
-    # Chien search: the locator has roots at inverse error locations alpha^-d
-    err_pos = []
-    for pos in range(n):
-        degree = n - 1 - pos
-        x_inv = _GF_EXP_INT[(255 - degree) % 255]
-        if _gf_poly_eval(err_loc, x_inv) == 0:
-            err_pos.append(pos)
-    if len(err_pos) != n_err:
+    # Chien search over the block's real degrees only: the locator has roots
+    # at alpha^-d for the error degrees d, and a root in the zero padding
+    # leaves the count short
+    real = np.arange(length)
+    degrees = real[_gf_eval(np.array([locator]), -real % 255)[0] == 0]
+    if len(degrees) != n_err:
         raise DecodeError("uncorrectable block: error locator has no valid roots")
     # Forney with parity roots alpha^0..alpha^(nsym-1):
     #   e_l = Omega(X_l^-1) / prod_{j != l} (1 - X_j X_l^-1),
     # Omega = S(x) * Lambda(x) mod x^nsym.
-    synd_rev = synd[::-1]
-    omega_full = _gf_poly_mul(synd_rev, err_loc)
-    omega = omega_full[len(omega_full) - nsym:]  # mod x^nsym
-    out = bytearray(block)
-    xs = [_GF_EXP_INT[(n - 1 - p) % 255] for p in err_pos]
-    for i, pos in enumerate(err_pos):
-        xi_inv = _gf_inv(xs[i])
+    omega = _gf_poly_mul(synd, locator)[:nsym]
+    numerators = _gf_eval(np.array([omega]), -degrees % 255)[0].tolist()
+    xs = [_GF_EXP_INT[d] for d in degrees]
+    values = []
+    for num, x in zip(numerators, xs):
+        x_inv = _gf_inv(x)
         denom = 1
-        for j, xj in enumerate(xs):
-            if j != i:
-                denom = _gf_mul(denom, 1 ^ _gf_mul(xi_inv, xj))
-        if denom == 0:
-            raise DecodeError("uncorrectable block: Forney denominator zero")
-        num = _gf_poly_eval(omega, xi_inv)
-        out[pos] ^= _gf_mul(num, _gf_inv(denom))
-    if max(_rs_syndromes(bytes(out), nsym)) != 0:
+        for xj in xs:
+            if xj != x:  # distinct roots, so no factor is zero
+                denom = _gf_mul(denom, 1 ^ _gf_mul(x_inv, xj))
+        values.append(_gf_mul(num, _gf_inv(denom)))
+    return degrees, np.array(values, dtype=np.uint8)
+
+
+def _rs_correct(rows: np.ndarray, pad: int, nsym: int) -> np.ndarray:
+    """Correct up to nsym // 2 byte errors in each 255-byte row in place and
+    return the rows; the last row starts with `pad` bytes of zero padding.
+    Only rows with nonzero syndromes (the rows evaluated at the parity roots,
+    last byte of degree 0) are decoded, and re-checked after."""
+    roots = np.arange(nsym)
+    synd = _gf_eval(rows[:, ::-1], roots)
+    bad = np.flatnonzero(synd.any(axis=1))
+    for r in bad:
+        length = 255 - pad if r == len(rows) - 1 else 255
+        degrees, values = _rs_errors(synd[r].tolist(), length, nsym)
+        rows[r, 254 - degrees] ^= values
+    if _gf_eval(rows[bad, ::-1], roots).any():
         raise DecodeError("uncorrectable block: correction did not converge")
-    return bytes(out)
+    return rows
 
 
 def _frame(payload: bytes) -> bytes:
@@ -214,33 +208,41 @@ def _frame(payload: bytes) -> bytes:
     return header + payload
 
 
+def _blocks(data: bytes, width: int) -> tuple[np.ndarray, int]:
+    """`data` as rows of `width` bytes, the short last row left-padded with
+    zeros, and the pad length."""
+    n_rows = -(-len(data) // width)
+    pad = n_rows * width - len(data)
+    cut = (n_rows - 1) * width
+    rows = np.zeros(n_rows * width, dtype=np.uint8)
+    rows[:cut] = np.frombuffer(data[:cut], dtype=np.uint8)
+    rows[cut + pad:] = np.frombuffer(data[cut:], dtype=np.uint8)
+    return rows.reshape(n_rows, width), pad
+
+
+def _unblock(rows: np.ndarray, pad: int) -> bytes:
+    """The bytes of `rows` without the last row's `pad` leading bytes."""
+    flat = rows.reshape(-1)
+    cut = (len(rows) - 1) * rows.shape[1]
+    return flat[:cut].tobytes() + flat[cut + pad:].tobytes()
+
+
 def rs_encode(payload: bytes, parity_symbols: int) -> bytes:
     """Frame the payload (u32 length + u32 CRC-32, big-endian) and append
     `parity_symbols` Reed-Solomon bytes per block of (255 - parity) data."""
     _check_parity(parity_symbols)
-    framed = np.frombuffer(_frame(bytes(payload)), dtype=np.uint8)
     k = 255 - parity_symbols
-    n_blocks = -(-len(framed) // k)
-    # Leading zeros leave a systematic remainder unchanged, so the short last
-    # block is left-padded to k bytes and all blocks divide in lockstep.
-    pad = n_blocks * k - len(framed)
-    last = (n_blocks - 1) * k
-    data = np.zeros(n_blocks * k, dtype=np.uint8)
-    data[:last] = framed[:last]
-    data[last + pad:] = framed[last:]
-    data = data.reshape(n_blocks, k)
+    data, pad = _blocks(_frame(bytes(payload)), k)
     # synthetic division of data * x^parity by the generator, one byte
     # position of every block per step: the parity columns end as the
     # remainder, the data columns as scratch that is then restored
-    work = np.zeros((n_blocks, 255), dtype=np.uint8)
+    work = np.zeros((len(data), 255), dtype=np.uint8)
     work[:, :k] = data
     products = _generator_products(parity_symbols)
     for i in range(k):
         work[:, i + 1:i + 1 + parity_symbols] ^= products[work[:, i]]
     work[:, :k] = data
-    coded = work.reshape(-1)
-    cut = (n_blocks - 1) * 255
-    return coded[:cut].tobytes() + coded[cut + pad:].tobytes()
+    return _unblock(work, pad)
 
 
 def rs_decode(coded: bytes, parity_symbols: int) -> bytes:
@@ -256,11 +258,8 @@ def rs_decode(coded: bytes, parity_symbols: int) -> bytes:
     rem = n % 255
     if n == 0 or (rem != 0 and rem <= parity_symbols):
         raise DecodeError("coded length inconsistent with block structure")
-    framed = bytearray()
-    for start in range(0, n, 255):
-        block = coded[start:start + 255]
-        corrected = _rs_correct_block(block, parity_symbols)
-        framed += corrected[:len(block) - parity_symbols]
+    rows, pad = _blocks(coded, 255)
+    framed = _unblock(_rs_correct(rows, pad, parity_symbols)[:, :255 - parity_symbols], pad)
     if len(framed) < 8:
         raise DecodeError("coded data too short for framing header")
     length = int.from_bytes(framed[0:4], "big")
@@ -269,7 +268,7 @@ def rs_decode(coded: bytes, parity_symbols: int) -> bytes:
         raise DecodeError(
             f"framed length mismatch: header says {length}, got {len(framed) - 8}"
         )
-    payload = bytes(framed[8:8 + length])
+    payload = framed[8:8 + length]
     if (zlib.crc32(payload) & 0xFFFFFFFF) != crc_expect:
         raise DecodeError("payload CRC-32 mismatch")
     return payload
@@ -287,8 +286,8 @@ def rs_decode_stream(stream: bytes, parity_symbols: int) -> bytes:
     stream = bytes(stream)
     if len(stream) >= 255:
         try:
-            first = _rs_correct_block(stream[:255], parity_symbols)
-            need = coded_length(int.from_bytes(first[0:4], "big"), parity_symbols)
+            first = _rs_correct(*_blocks(stream[:255], 255), parity_symbols)
+            need = coded_length(int.from_bytes(first[0, :4].tobytes(), "big"), parity_symbols)
             if 255 <= need <= len(stream):
                 return rs_decode(stream[:need], parity_symbols)
         except DecodeError:
@@ -447,30 +446,3 @@ def gather(bits: np.ndarray, perm: np.ndarray, coded_length: int) -> bytes:
     offsets = sources[:, None] + np.arange(8)[None, :]
     return np.packbits(bits[offsets.ravel()]).tobytes()
 
-
-# ---------------------------------------------------------------------------
-# Message plan
-# ---------------------------------------------------------------------------
-
-@dataclass
-class MessagePlan:
-    """What the sender embedded: the payload and the parameters the
-    receiver must repeat (parity_symbols, mixing_seed, block_pixels), plus
-    the image's capacity in bits. The receiver never builds one: the
-    payload, and its length, travel in the stego image.
-    """
-
-    payload: bytes
-    parity_symbols: int = 8
-    mixing_seed: int = 1
-    capacity_bits: int = 0
-    block_pixels: int = 1
-
-    def __post_init__(self):
-        _check_parity(self.parity_symbols)
-        if self.block_pixels < 1:
-            raise CodecError("block_pixels must be >= 1")
-
-    @property
-    def coded_length(self) -> int:
-        return coded_length(len(self.payload), self.parity_symbols)

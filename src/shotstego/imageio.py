@@ -31,13 +31,10 @@ class RawImage:
     width: int
     height: int
     pixels: np.ndarray
-    bit_depth: int = 16
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be >= 1")
-        if self.bit_depth != 16:
-            raise ValueError("only 16-bit images are supported")
         px = np.asarray(self.pixels)
         if px.shape != (self.height, self.width):
             raise ValueError(

@@ -16,14 +16,15 @@ import numpy as np
 
 from . import codec, stego
 from .camera import DEFAULT_FULL_WELL
-from .codec import DecodeError, MessagePlan
+from .codec import DecodeError
 from .imageio import RawImage
 
 
 @dataclass
 class EmbedResult:
     stego_image: RawImage
-    plan: MessagePlan
+    coded_length: int  # coded bytes of the framed payload
+    capacity_bits: int  # message bits the image holds
     bits: np.ndarray  # the exact bit vector that was embedded
 
 
@@ -39,17 +40,17 @@ def embed_message(key: RawImage, cover: RawImage, payload: bytes,
                   full_well: int = DEFAULT_FULL_WELL) -> EmbedResult:
     """Alice's side: returns the stego image ready to publish."""
     params, capacity_bits = _params(key, block_pixels, full_well)
-    plan = MessagePlan(payload=bytes(payload), parity_symbols=parity_symbols,
-                       mixing_seed=mixing_seed, capacity_bits=capacity_bits,
-                       block_pixels=block_pixels)
+    payload = bytes(payload)
+    coded_length = codec.coded_length(len(payload), parity_symbols)
     # rejects an oversized message before the encoding and the permutation,
     # whose cost grows with the payload and the image
-    codec.check_capacity(plan.coded_length, capacity_bits)
-    coded = codec.rs_encode(plan.payload, parity_symbols)
+    codec.check_capacity(coded_length, capacity_bits)
+    coded = codec.rs_encode(payload, parity_symbols)
     perm = codec.mixing_permutation(capacity_bits // 8, mixing_seed)
     bits = codec.scatter(coded, perm, capacity_bits, mixing_seed)
     stego_image = stego.embed(key, cover, bits, params)
-    return EmbedResult(stego_image=stego_image, plan=plan, bits=bits)
+    return EmbedResult(stego_image=stego_image, coded_length=coded_length,
+                       capacity_bits=capacity_bits, bits=bits)
 
 
 def extract_message(stego_image: RawImage, key: RawImage,

@@ -318,28 +318,29 @@ def build_calibration(scene: SceneRadiance, sensor: SensorConfig,
     """Calibrate the battery's null distributions from clean captures.
 
     Capture 0 becomes the KL reference; captures 1..runs provide the KL
-    null; every capture feeds the chi-square null; consecutive capture
-    pairs feed the pair-statistic nulls.
+    and chi-square nulls; the pairs (i - 1, i) for even i feed the
+    pair-statistic nulls. Only the reference histogram and the previous
+    capture are held.
     """
     if runs < 2:
         raise CalibrationError("calibration needs at least 2 runs")
-    images = [capture(scene, sensor, i) for i in range(runs + 1)]
-    region = full_region(images[0])
-    ref = histogram(images[0], region, bin_width)
-    kl_null = np.array([
-        kl_divergence(histogram(im, region, bin_width), ref) for im in images[1:]
-    ])
-    chi2_null = np.array([_chi2_logp(chi_square_attack(im, region)) for im in images[1:]])
-    ac_null, nd_null = [], []
-    for i in range(1, runs, 2):
-        a, b = images[i], images[i + 1]
-        ac_null.append(float(np.max(np.abs(autocorrelation(a, b, AUTOCORR_LAGS)))))
-        nd_null.append(abs(normalized_deviation(a, b) - 1.0))
+    prev = capture(scene, sensor, 0)
+    region = full_region(prev)
+    ref = histogram(prev, region, bin_width)
+    kl_null, chi2_null, ac_null, nd_null = [], [], [], []
+    for i in range(1, runs + 1):
+        im = capture(scene, sensor, i)
+        kl_null.append(kl_divergence(histogram(im, region, bin_width), ref))
+        chi2_null.append(_chi2_logp(chi_square_attack(im, region)))
+        if i % 2 == 0:
+            ac_null.append(float(np.max(np.abs(autocorrelation(prev, im, AUTOCORR_LAGS)))))
+            nd_null.append(abs(normalized_deviation(prev, im) - 1.0))
+        prev = im
     desc = f"{scene.width}x{scene.height} mean_lambda={scene.lam.mean():.6g}"
     return Calibration(
         scene_desc=desc, n_runs=runs, bin_width=bin_width,
         reference_counts=ref.counts, reference_total=ref.total,
-        kl_null=kl_null, chi2_logp_null=chi2_null,
+        kl_null=np.array(kl_null), chi2_logp_null=np.array(chi2_null),
         autocorr_max_null=np.array(ac_null), normdev_dev_null=np.array(nd_null),
     )
 
@@ -430,15 +431,15 @@ def read_calibration(data: bytes) -> Calibration:
     the pair-statistic nulls one per run pair (see build_calibration); the
     reference counts are non-negative, list each bin once and sum to
     reference_total."""
-    lines = data.decode("utf-8").splitlines()
-    if not lines or lines[0] != "shotstego-calibration v1":
-        raise CalibrationError("not a calibration file (bad version header)")
-    fields: dict[str, str] = {}
-    for line in lines[1:]:
-        if line.strip():
-            key, _, rest = line.partition(" ")
-            fields[key] = rest
     try:
+        lines = data.decode("utf-8").splitlines()
+        if not lines or lines[0] != "shotstego-calibration v1":
+            raise CalibrationError("not a calibration file (bad version header)")
+        fields: dict[str, str] = {}
+        for line in lines[1:]:
+            if line.strip():
+                key, _, rest = line.partition(" ")
+                fields[key] = rest
         runs = int(fields["runs"])
         bin_width = int(fields["bin_width"])
         if bin_width < 1:
@@ -473,7 +474,11 @@ def read_calibration(data: bytes) -> Calibration:
             autocorr_max_null=_parse_null(fields, "autocorr_max_null", runs // 2),
             normdev_dev_null=_parse_null(fields, "normdev_dev_null", runs // 2),
         )
+    except CalibrationError:
+        raise
     except KeyError as exc:
         raise CalibrationError(f"calibration file missing field {exc}") from exc
     except OverflowError as exc:  # a count past int64
         raise CalibrationError(f"calibration value out of range: {exc}") from exc
+    except ValueError as exc:  # a malformed number, or bytes that are not UTF-8
+        raise CalibrationError(f"calibration file malformed: {exc}") from exc

@@ -54,6 +54,20 @@ def test_usage_errors_exit_1(ws):
         cli.build_parser().parse_args(["not-a-command"])
 
 
+@pytest.mark.parametrize("command", ["embed", "extract"])
+def test_block_pixels_below_1_exits_1(ws, command):
+    assert run("capture", "--width", "64", "--height", "64",
+               "--key-out", ws("k.pgm"), "--cover-out", ws("c.pgm")) == 0
+    with open(ws("m.bin"), "wb") as fh:
+        fh.write(b"x")
+    files = {"embed": ["--key", ws("k.pgm"), "--cover", ws("c.pgm"),
+                       "--message", ws("m.bin"), "--stego-out", ws("out")],
+             "extract": ["--stego", ws("c.pgm"), "--key", ws("k.pgm"),
+                         "--message-out", ws("out")]}[command]
+    assert run(command, *files, "--block-pixels", "0") == 1
+    assert not os.path.exists(ws("out"))
+
+
 def test_io_errors_exit_2(ws):
     assert run("extract", "--stego", ws("missing.pgm"), "--key", ws("missing.pgm"),
                "--message-out", ws("x.bin")) == 2

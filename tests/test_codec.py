@@ -12,7 +12,6 @@ from shotstego import codec, rng as splitmix
 from shotstego.codec import (
     CodecError,
     DecodeError,
-    MessagePlan,
     gather,
     keyed_filler_bits,
     mixing_permutation,
@@ -284,6 +283,213 @@ def test_rs_encode_matches_scalar_reference(case):
     assert rs_encode(payload, nsym) == _rs_encode_reference(payload, nsym)
 
 
+# The scalar decoder, one block at a time: one XOR-reduce per syndrome,
+# Berlekamp-Massey, a Chien search by Horner evaluation at every real
+# position, and Forney.
+# The reference the array-based `rs_decode` and `rs_decode_stream` must
+# reproduce, payload for payload and failure for failure.
+
+_EXP_REF = [1]
+for _ in range(254):
+    _EXP_REF.append(_gf_mul_naive(_EXP_REF[-1], 2))
+_LOG_REF = {v: i for i, v in enumerate(_EXP_REF)}
+_EXP_REF_NP = np.array(_EXP_REF, dtype=np.uint8)
+_LOG_REF_NP = np.zeros(256, dtype=np.int64)
+_LOG_REF_NP[_EXP_REF] = np.arange(255)
+
+
+def _mul_ref(a, b):
+    if a == 0 or b == 0:
+        return 0
+    return _EXP_REF[(_LOG_REF[a] + _LOG_REF[b]) % 255]
+
+
+def _inv_ref(a):
+    return _EXP_REF[-_LOG_REF[a] % 255]
+
+
+def _poly_mul_ref(p, q):
+    r = [0] * (len(p) + len(q) - 1)
+    for j, qj in enumerate(q):
+        for i, pi in enumerate(p):
+            r[i + j] ^= _mul_ref(pi, qj)
+    return r
+
+
+def _poly_eval_ref(poly, x):
+    """Horner evaluation, coefficients highest degree first."""
+    y = poly[0]
+    for c in poly[1:]:
+        y = _mul_ref(y, x) ^ c
+    return y
+
+
+def _syndromes_ref(block, nsym):
+    """One XOR-reduce per syndrome over the block's nonzero bytes."""
+    arr = np.frombuffer(block, dtype=np.uint8)
+    nz = np.flatnonzero(arr)
+    logs, degrees = _LOG_REF_NP[arr[nz]], len(block) - 1 - nz
+    return [int(np.bitwise_xor.reduce(_EXP_REF_NP[(logs + i * degrees) % 255]))
+            for i in range(nsym)]
+
+
+def _berlekamp_massey_ref(synd, nsym):
+    """Error locator, highest degree first."""
+    err_loc, old_loc = [1], [1]
+    for i in range(nsym):
+        delta = synd[i]
+        for j in range(1, len(err_loc)):
+            delta ^= _mul_ref(err_loc[-(j + 1)], synd[i - j])
+        old_loc.append(0)
+        if delta != 0:
+            if len(old_loc) > len(err_loc):
+                new_loc = [_mul_ref(c, delta) for c in old_loc]
+                old_loc = [_mul_ref(c, _inv_ref(delta)) for c in err_loc]
+                err_loc = new_loc
+            scaled = [_mul_ref(c, delta) for c in old_loc]
+            if len(scaled) > len(err_loc):
+                err_loc = [0] * (len(scaled) - len(err_loc)) + err_loc
+            off = len(err_loc) - len(scaled)
+            for k, c in enumerate(scaled):
+                err_loc[off + k] ^= c
+    while err_loc and err_loc[0] == 0:
+        err_loc.pop(0)
+    return err_loc
+
+
+def _rs_correct_block_reference(block: bytes, nsym: int) -> bytes:
+    synd = _syndromes_ref(block, nsym)
+    if max(synd) == 0:
+        return block
+    err_loc = _berlekamp_massey_ref(synd, nsym)
+    n_err = len(err_loc) - 1
+    if n_err == 0 or n_err > nsym // 2:
+        raise DecodeError("uncorrectable block: too many errors")
+    n = len(block)
+    err_pos = [pos for pos in range(n)
+               if _poly_eval_ref(err_loc, _EXP_REF[-(n - 1 - pos) % 255]) == 0]
+    if len(err_pos) != n_err:
+        raise DecodeError("uncorrectable block: error locator has no valid roots")
+    omega = _poly_mul_ref(synd[::-1], err_loc)[-nsym:]
+    out = bytearray(block)
+    xs = [_EXP_REF[(n - 1 - p) % 255] for p in err_pos]
+    for i, pos in enumerate(err_pos):
+        xi_inv = _inv_ref(xs[i])
+        denom = 1
+        for j, xj in enumerate(xs):
+            if j != i:
+                denom = _mul_ref(denom, 1 ^ _mul_ref(xi_inv, xj))
+        if denom == 0:
+            raise DecodeError("uncorrectable block: Forney denominator zero")
+        out[pos] ^= _mul_ref(_poly_eval_ref(omega, xi_inv), _inv_ref(denom))
+    if max(_syndromes_ref(bytes(out), nsym)) != 0:
+        raise DecodeError("uncorrectable block: correction did not converge")
+    return bytes(out)
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
+    return bytes(x ^ y for x, y in zip(a, b))
+
+
+def _padding_root(degree: int, nsym: int) -> bytes:
+    """x^degree mod g(x): added to a block's parity, it leaves the block one
+    error, at `degree`, away from a codeword of the full-length code."""
+    return _rs_parity_reference(b"\x01" + bytes(degree - nsym), nsym)
+
+
+@pytest.mark.parametrize("nsym", [2, 8, 32])
+def test_rs_decode_finds_no_root_in_the_zero_padding(nsym):
+    """The one error lies at degree 254, in the zero padding of a short
+    block: the block cannot be corrected, so decoding raises."""
+    coded = rs_encode(b"short", nsym)
+    coded = coded[:-nsym] + _xor(coded[-nsym:], _padding_root(254, nsym))
+    with pytest.raises(DecodeError):
+        rs_decode(coded, nsym)
+    with pytest.raises(DecodeError):
+        rs_decode_stream(coded, nsym)
+
+
+def _rs_decode_reference(coded: bytes, nsym: int) -> bytes:
+    n = len(coded)
+    if n == 0 or (n % 255 != 0 and n % 255 <= nsym):
+        raise DecodeError("coded length inconsistent with block structure")
+    framed = b""
+    for start in range(0, n, 255):
+        block = coded[start:start + 255]
+        framed += _rs_correct_block_reference(block, nsym)[:len(block) - nsym]
+    if len(framed) < 8 or int.from_bytes(framed[0:4], "big") != len(framed) - 8:
+        raise DecodeError("framed length mismatch")
+    if zlib.crc32(framed[8:]) != int.from_bytes(framed[4:8], "big"):
+        raise DecodeError("payload CRC-32 mismatch")
+    return framed[8:]
+
+
+def _rs_decode_stream_reference(stream: bytes, nsym: int) -> bytes:
+    if len(stream) >= 255:
+        try:
+            first = _rs_correct_block_reference(stream[:255], nsym)
+            need = codec.coded_length(int.from_bytes(first[0:4], "big"), nsym)
+            if 255 <= need <= len(stream):
+                return _rs_decode_reference(stream[:need], nsym)
+        except DecodeError:
+            pass
+    for need in range(8 + nsym, min(255, len(stream)) + 1):
+        try:
+            return _rs_decode_reference(stream[:need], nsym)
+        except DecodeError:
+            continue
+    raise DecodeError("no decodable payload found")
+
+
+@st.composite
+def _received_streams(draw):
+    """A coded stream of one to three blocks as a receiver may gather it:
+    byte errors in every block (0..t, exactly t, t + 1 or 40), or a short
+    last block one error in its zero padding away from a full-length
+    codeword; then kept whole, truncated, followed by filler, or replaced by
+    filler alone."""
+    nsym = draw(st.sampled_from([2, 4, 8, 16, 32, 64]))
+    t = nsym // 2
+    size = draw(st.integers(min_value=0, max_value=3 * (255 - nsym) - 8))
+    r = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    coded = bytearray(rs_encode(r.randbytes(size), nsym))
+    errors = draw(st.sampled_from(["0..t", "t", "t+1", "40", "padding root"]))
+    if errors == "padding root":
+        length = len(coded) % 255 or 255
+        if length < 255:
+            coded[-nsym:] = _xor(coded[-nsym:], _padding_root(r.randrange(length, 255), nsym))
+    else:
+        for start in range(0, len(coded), 255):
+            count = {"0..t": r.randint(0, t), "t": t, "t+1": t + 1, "40": 40}[errors]
+            blen = min(255, len(coded) - start)
+            for pos in r.sample(range(blen), min(count, blen)):
+                coded[start + pos] ^= r.randint(1, 255)
+    shape = draw(st.sampled_from(["whole", "truncated", "filler after", "filler only"]))
+    if shape == "truncated":
+        coded = coded[:r.randint(0, len(coded))]
+    elif shape == "filler after":
+        coded += r.randbytes(r.randint(1, 300))
+    elif shape == "filler only":
+        coded = bytearray(r.randbytes(r.randint(0, 600)))
+    return bytes(coded), nsym
+
+
+def _outcome(decode, data: bytes, nsym: int):
+    try:
+        return decode(data, nsym)
+    except DecodeError:
+        return DecodeError
+
+
+@settings(max_examples=60, deadline=None)
+@given(_received_streams())
+def test_rs_decode_matches_scalar_reference(case):
+    data, nsym = case
+    assert _outcome(rs_decode, data, nsym) == _outcome(_rs_decode_reference, data, nsym)
+    assert (_outcome(rs_decode_stream, data, nsym)
+            == _outcome(_rs_decode_stream_reference, data, nsym))
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -469,13 +675,3 @@ def test_filler_domain_separated_from_shuffle():
     filler_word = int("".join(str(b) for b in keyed_filler_bits(64, seed)), 2)
     assert shuffle_word != filler_word
 
-
-# ---------------------------------------------------------------------------
-# MessagePlan
-# ---------------------------------------------------------------------------
-
-def test_plan_validates_parity_and_g():
-    with pytest.raises(CodecError):
-        MessagePlan(payload=b"", parity_symbols=5)
-    with pytest.raises(CodecError):
-        MessagePlan(payload=b"", parity_symbols=8, block_pixels=0)

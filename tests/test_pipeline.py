@@ -94,8 +94,8 @@ def test_dark_key_has_no_capacity():
 def test_embedded_bits_fill_capacity_exactly():
     _, _, key, cover = pair(seed=109, n=256)
     res = pipeline.embed_message(key, cover, b"hello", mixing_seed=11)
-    assert len(res.bits) == res.plan.capacity_bits
-    assert res.plan.capacity_bits == 256 * 256  # flat scene: every pixel usable
+    assert len(res.bits) == res.capacity_bits
+    assert res.capacity_bits == 256 * 256  # flat scene: every pixel usable
 
 
 def test_deterministic_stego_image():
@@ -111,4 +111,12 @@ def test_group_mode_round_trip():
     res = pipeline.embed_message(key, cover, msg, block_pixels=16, mixing_seed=13)
     got = pipeline.extract_message(res.stego_image, key, block_pixels=16, mixing_seed=13)
     assert got == msg
-    assert res.plan.capacity_bits == 512 * 512 // 16
+    assert res.capacity_bits == 512 * 512 // 16
+
+
+def test_embed_validates_parity_and_g():
+    _, _, key, cover = pair(seed=113, n=64)
+    with pytest.raises(CodecError):
+        pipeline.embed_message(key, cover, b"", parity_symbols=5)
+    with pytest.raises(ValueError, match="block_pixels"):
+        pipeline.embed_message(key, cover, b"", block_pixels=0)

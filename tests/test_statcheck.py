@@ -587,6 +587,12 @@ def _small_calibration_text() -> str:
     ("reference_total", "5"),              # counts sum to 4
     ("reference_counts", "99:1 100:2 100:1"),  # a bin listed twice; sum still 4
     ("reference_counts", "99:1 100:3 101:9223372036854775808"),  # past int64
+    ("runs", "1e3"),                       # malformed numbers
+    ("bin_width", "x"),
+    ("reference_counts", "100:x"),
+    ("kl_null", "0.1 0.2 zz"),
+    ("reference_total", "4.0"),
+    ("scene", "\udcff\udcfe8x8"),          # the bytes ff fe: not UTF-8
 ])
 def test_calibration_rejects_invalid_fields(field, value):
     text = _small_calibration_text()
@@ -594,7 +600,7 @@ def test_calibration_rejects_invalid_fields(field, value):
     lines = [f"{field} {value}" if line.split(" ")[0] == field else line
              for line in text.splitlines()]
     with pytest.raises(CalibrationError):
-        read_calibration(("\n".join(lines) + "\n").encode())
+        read_calibration(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
 
 
 def test_write_calibration_writes_the_sum_of_counts():
