@@ -69,17 +69,22 @@ def _add_sensor_flags(p: _Parser) -> None:
     p.add_argument("--seed", type=int, default=1)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an int of at least `low`; a smaller value is a
+    usage error (exit 1) like any other bad flag."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _add_plan_flags(p: _Parser) -> None:
     p.add_argument("--parity-symbols", type=int, default=8)
     p.add_argument("--mixing-seed", type=int, default=1)
-    p.add_argument("--block-pixels", type=_positive_int, default=1)
+    p.add_argument("--block-pixels", type=_int_at_least(1), default=1)
     p.add_argument("--full-well", type=int, default=50000,
                    help="full well used to derive the usable-pixel mask")
 
@@ -125,14 +130,14 @@ def build_parser() -> _Parser:
     p.add_argument("--image", required=True)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--bin-width", type=int, default=1)
+    p.add_argument("--bin-width", type=_int_at_least(1), default=1)
 
     p = sub.add_parser("calibrate", help="build battery null distributions "
                                          "from clean simulated captures")
     _add_scene_flags(p)
     _add_sensor_flags(p)
-    p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--bin-width", type=int, default=1)
+    p.add_argument("--runs", type=_int_at_least(2), default=100)
+    p.add_argument("--bin-width", type=_int_at_least(1), default=1)
     p.add_argument("--calibration-out", required=True)
 
     return parser
@@ -200,9 +205,8 @@ def _cmd_demo_lsb(args) -> int:
     img = _load_image(args.image)
     bits = codec.keyed_filler_bits(img.pixel_count, args.seed)
     embedded = statcheck.lsb_embed(img, bits)
-    region = statcheck.full_region(img)
-    hist_clean = statcheck.histogram(img, region, args.bin_width)
-    hist_lsb = statcheck.histogram(embedded, region, args.bin_width)
+    hist_clean = statcheck.histogram(img, args.bin_width)
+    hist_lsb = statcheck.histogram(embedded, args.bin_width)
     _write_atomic(args.out_prefix + ".pgm", write_pgm16(embedded))
     _write_atomic(args.out_prefix + "-original-hist.csv",
                   statcheck.histogram_csv(hist_clean))
@@ -246,7 +250,7 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         # unsuitable inputs surfaced by the library (mismatched image
-        # dimensions, region too small for a statistic, ...)
+        # dimensions, image too small for a statistic, ...)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PGM_MAXVAL = 65535
-_HEADER_RE = re.compile(rb"^P5\n(\d+) (\d+)\n(\d+)\n")
+# Header numbers are canonical decimals (no leading zero, at most 18 digits),
+# so the accepted header is exactly the one write_pgm16 gives back.
+_NUMBER = rb"(0|[1-9][0-9]{0,17})"
+_HEADER_RE = re.compile(rb"^P5\n" + _NUMBER + rb" " + _NUMBER + rb"\n" + _NUMBER + rb"\n")
 
 
 class PgmFormatError(ValueError):

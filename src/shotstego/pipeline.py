@@ -28,18 +28,13 @@ class EmbedResult:
     bits: np.ndarray  # the exact bit vector that was embedded
 
 
-def _params(key: RawImage, block_pixels: int, full_well: int):
-    params = stego.StegoParams(block_pixels=block_pixels,
-                               usable_mask=stego.default_usable_mask(key, full_well))
-    return params, params.capacity_bits(key)
-
-
 def embed_message(key: RawImage, cover: RawImage, payload: bytes,
                   parity_symbols: int = 8, mixing_seed: int = 1,
                   block_pixels: int = 1,
                   full_well: int = DEFAULT_FULL_WELL) -> EmbedResult:
     """Alice's side: returns the stego image ready to publish."""
-    params, capacity_bits = _params(key, block_pixels, full_well)
+    mask = stego.default_usable_mask(key, full_well)
+    capacity_bits = stego.capacity_bits(mask, block_pixels)
     payload = bytes(payload)
     coded_length = codec.coded_length(len(payload), parity_symbols)
     # rejects an oversized message before the encoding and the permutation,
@@ -48,7 +43,7 @@ def embed_message(key: RawImage, cover: RawImage, payload: bytes,
     coded = codec.rs_encode(payload, parity_symbols)
     perm = codec.mixing_permutation(capacity_bits // 8, mixing_seed)
     bits = codec.scatter(coded, perm, capacity_bits, mixing_seed)
-    stego_image = stego.embed(key, cover, bits, params)
+    stego_image = stego.embed(key, cover, bits, mask, block_pixels)
     return EmbedResult(stego_image=stego_image, coded_length=coded_length,
                        capacity_bits=capacity_bits, bits=bits)
 
@@ -58,10 +53,10 @@ def extract_message(stego_image: RawImage, key: RawImage,
                     block_pixels: int = 1,
                     full_well: int = DEFAULT_FULL_WELL) -> bytes:
     """Bob's side: recover the payload or raise DecodeError loudly."""
-    params, capacity_bits = _params(key, block_pixels, full_well)
-    slots = capacity_bits // 8
+    mask = stego.default_usable_mask(key, full_well)
+    slots = stego.capacity_bits(mask, block_pixels) // 8
     if slots < 1:
         raise DecodeError("image has no usable byte capacity")
     perm = codec.mixing_permutation(slots, mixing_seed)
-    stream = codec.gather(stego.extract(stego_image, key, params).bits, perm, slots)
+    stream = codec.gather(stego.extract(stego_image, key, mask, block_pixels).bits, perm, slots)
     return codec.rs_decode_stream(stream, parity_symbols)

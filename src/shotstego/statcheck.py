@@ -46,37 +46,6 @@ class CalibrationError(ValueError):
     """Missing or undersized calibration data."""
 
 
-@dataclass
-class Region:
-    """Rectangular pixel region, origin at the top-left corner."""
-
-    x: int
-    y: int
-    width: int
-    height: int
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("region must have positive size")
-
-    @property
-    def area(self) -> int:
-        return self.width * self.height
-
-
-def full_region(img: RawImage) -> Region:
-    return Region(0, 0, img.width, img.height)
-
-
-def _region_values(img: RawImage, region: Region) -> np.ndarray:
-    if region.x < 0 or region.y < 0 \
-            or region.x + region.width > img.width \
-            or region.y + region.height > img.height:
-        raise ValueError("region out of image bounds")
-    return img.pixels[region.y:region.y + region.height,
-                      region.x:region.x + region.width].reshape(-1)
-
-
 # ---------------------------------------------------------------------------
 # Histograms and KL divergence
 # ---------------------------------------------------------------------------
@@ -106,11 +75,11 @@ def _bin_edges(bin_width: int) -> np.ndarray:
     return edges
 
 
-def histogram(img: RawImage, region: Region, bin_width: int = 1) -> Histogram:
-    """Histogram of pixel values in the region; bins of bin_width counts."""
+def histogram(img: RawImage, bin_width: int = 1) -> Histogram:
+    """Histogram of the image's pixel values; bins of bin_width counts."""
     if bin_width < 1:
         raise ValueError("bin_width must be >= 1")
-    vals = _region_values(img, region)
+    vals = img.pixels.reshape(-1)
     edges = _bin_edges(bin_width)
     if bin_width > 1:
         vals = vals // bin_width
@@ -224,7 +193,7 @@ def normalized_deviation(key: RawImage, cover: RawImage) -> float:
 # Chi-square pairs-of-values attack
 # ---------------------------------------------------------------------------
 
-def chi_square_attack(img: RawImage, region: Region) -> float:
+def chi_square_attack(img: RawImage) -> float:
     """P-value of the clean hypothesis from the pairs-of-values statistic.
 
     For each value pair (2k, 2k+1) whose neighborhood is well populated,
@@ -236,10 +205,9 @@ def chi_square_attack(img: RawImage, region: Region) -> float:
     null. Small p-value: the splits are too balanced for a genuine smooth
     histogram, the signature of full LSB embedding.
     """
-    vals = _region_values(img, region)
-    if vals.size < 10_000:
-        raise ValueError("chi-square attack needs a region of >= 1e4 pixels")
-    counts = np.bincount(vals, minlength=_NVALUES)
+    if img.pixel_count < 10_000:
+        raise ValueError("chi-square attack needs an image of >= 1e4 pixels")
+    counts = np.bincount(img.pixels.reshape(-1), minlength=_NVALUES)
     even = counts[0::2]
     m = even + counts[1::2]
     ok = m >= _CHI2_MIN_PAIR
@@ -325,13 +293,12 @@ def build_calibration(scene: SceneRadiance, sensor: SensorConfig,
     if runs < 2:
         raise CalibrationError("calibration needs at least 2 runs")
     prev = capture(scene, sensor, 0)
-    region = full_region(prev)
-    ref = histogram(prev, region, bin_width)
+    ref = histogram(prev, bin_width)
     kl_null, chi2_null, ac_null, nd_null = [], [], [], []
     for i in range(1, runs + 1):
         im = capture(scene, sensor, i)
-        kl_null.append(kl_divergence(histogram(im, region, bin_width), ref))
-        chi2_null.append(_chi2_logp(chi_square_attack(im, region)))
+        kl_null.append(kl_divergence(histogram(im, bin_width), ref))
+        chi2_null.append(_chi2_logp(chi_square_attack(im)))
         if i % 2 == 0:
             ac_null.append(float(np.max(np.abs(autocorrelation(prev, im, AUTOCORR_LAGS)))))
             nd_null.append(abs(normalized_deviation(prev, im) - 1.0))
@@ -359,11 +326,10 @@ def ward_test(img: RawImage, calibration: Optional[Calibration],
         raise CalibrationError(
             f"calibration built from {calibration.n_runs} runs; need >= 100"
         )
-    region = full_region(img)
-    hist = histogram(img, region, calibration.bin_width)
+    hist = histogram(img, calibration.bin_width)
     kl = kl_divergence(hist, calibration.reference_hist())
-    chi2_p = chi_square_attack(img, region)
-    sizes = {"kl": hist.total, "chi2": region.area}
+    chi2_p = chi_square_attack(img)
+    sizes = {"kl": hist.total, "chi2": img.pixel_count}
     exceed = [
         kl > calibration.threshold("kl"),
         _chi2_logp(chi2_p) > calibration.threshold("chi2_logp"),

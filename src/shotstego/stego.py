@@ -14,8 +14,8 @@ power, which is the capacity-for-robustness trade of block mode.
 
 Both directions share one grouping rule: the usable pixels, in row-major
 order, are cut into runs of g and bit b owns run b; leftover usable pixels
-and masked pixels always come from the key. Without a mask every pixel is
-usable and the step through the mask is skipped.
+and masked pixels always come from the key. The boolean (height, width)
+mask is always given; `default_usable_mask` derives it from the key.
 """
 
 from __future__ import annotations
@@ -30,33 +30,6 @@ from scipy.special import gammaln
 from .imageio import RawImage
 
 DARK_FLOOR = 16  # counts below this carry mostly electronic noise
-
-
-@dataclass
-class StegoParams:
-    """Embedding geometry: pixels per message bit and the usable mask.
-
-    usable_mask is a boolean (height, width) array; None means every pixel
-    participates. The module docstring gives the grouping rule.
-    """
-
-    block_pixels: int = 1
-    usable_mask: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.block_pixels < 1:
-            raise ValueError("block_pixels must be >= 1")
-
-    def mask_for(self, img: RawImage) -> np.ndarray:
-        if self.usable_mask is None:
-            return np.ones((img.height, img.width), dtype=bool)
-        mask = np.asarray(self.usable_mask, dtype=bool)
-        if mask.shape != (img.height, img.width):
-            raise ValueError("usable_mask shape does not match image")
-        return mask
-
-    def capacity_bits(self, img: RawImage) -> int:
-        return int(np.count_nonzero(self.mask_for(img))) // self.block_pixels
 
 
 @dataclass
@@ -77,11 +50,20 @@ def default_usable_mask(key: RawImage, full_well: int) -> np.ndarray:
     return (px < full_well) & (px >= DARK_FLOOR)
 
 
-def _usable(params: StegoParams, img: RawImage) -> Optional[np.ndarray]:
-    """Flat usable-pixel mask, or None when every pixel participates."""
-    if params.usable_mask is None:
-        return None
-    return params.mask_for(img).reshape(-1)
+def _flat_mask(mask: np.ndarray, block_pixels: int, shape: tuple) -> np.ndarray:
+    """The usable mask, flattened row-major, once g >= 1 and the mask is a
+    2-D array of the expected (height, width) shape."""
+    if block_pixels < 1:
+        raise ValueError("block_pixels must be >= 1")
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2 or mask.shape != shape:
+        raise ValueError(f"usable mask of shape {mask.shape} does not match {shape}")
+    return mask.reshape(-1)
+
+
+def capacity_bits(mask: np.ndarray, block_pixels: int) -> int:
+    """Message bits the grouping holds: one per whole run of g usable pixels."""
+    return int(np.count_nonzero(_flat_mask(mask, block_pixels, np.shape(mask)))) // block_pixels
 
 
 def _check_dims(a: RawImage, b: RawImage) -> None:
@@ -89,35 +71,35 @@ def _check_dims(a: RawImage, b: RawImage) -> None:
         raise ValueError("image dimensions do not match")
 
 
-def embed(key: RawImage, cover: RawImage, bits: np.ndarray, params: StegoParams) -> RawImage:
+def embed(key: RawImage, cover: RawImage, bits: np.ndarray, mask: np.ndarray,
+          block_pixels: int) -> RawImage:
     """Assemble the stego image: group b comes from the cover if bits[b] is
     1, from the key otherwise; everything outside the groups is the key."""
     _check_dims(key, cover)
-    g = params.block_pixels
+    g = block_pixels
+    mask = _flat_mask(mask, g, key.pixels.shape)
     bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
-    mask = _usable(params, key)
-    take = np.zeros(key.pixel_count if mask is None else np.count_nonzero(mask), dtype=bool)
+    take = np.zeros(np.count_nonzero(mask), dtype=bool)
     n_groups = len(take) // g
     if len(bits) != n_groups:
         raise ValueError(f"bit vector length {len(bits)} != group count {n_groups}")
     take[:n_groups * g].reshape(n_groups, g)[...] = (bits == 1)[:, None]
-    if mask is not None:
-        take_all = np.zeros_like(mask)
-        take_all[mask] = take
-        take = take_all
+    take_all = np.zeros_like(mask)
+    take_all[mask] = take
     out = key.pixels.copy()
-    np.copyto(out, cover.pixels, where=take.reshape(out.shape))
+    np.copyto(out, cover.pixels, where=take_all.reshape(out.shape))
     return RawImage(width=key.width, height=key.height, pixels=out)
 
 
-def extract(stego: RawImage, key: RawImage, params: StegoParams) -> DecodedBits:
+def extract(stego: RawImage, key: RawImage, mask: np.ndarray,
+            block_pixels: int) -> DecodedBits:
     """Recover bits by comparison: a group decodes to 1 iff any of its
     pixels differs from the key."""
     _check_dims(stego, key)
-    g = params.block_pixels
+    g = block_pixels
+    mask = _flat_mask(mask, g, key.pixels.shape)
     diff = (stego.pixels != key.pixels).reshape(-1)
-    mask = _usable(params, key)
-    usable = diff if mask is None else diff[mask]
+    usable = diff[mask]
     bits = usable[:len(usable) // g * g].reshape(-1, g).any(axis=1).astype(np.uint8)
     return DecodedBits(bits=bits, raw_mismatch_count=int(np.count_nonzero(diff)))
 

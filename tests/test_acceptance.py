@@ -143,8 +143,7 @@ def test_criterion_3_end_to_end_16kb_parity8_as_specified():
 
     def inspect(run, key, cover, payload, res, got):
         mask = stego.default_usable_mask(key, DEFAULT_FULL_WELL)
-        read = stego.extract(res.stego_image, key,
-                             stego.StegoParams(usable_mask=mask)).bits
+        read = stego.extract(res.stego_image, key, mask, 1).bits
         collided = (key.pixels == cover.pixels)[mask]
         exact = np.array_equal(read, res.bits & ~collided)
         perm = codec.mixing_permutation(len(res.bits) // 8, run + 1)
@@ -206,9 +205,8 @@ def test_criterion_4_wrong_key_failure(tmp_path):
         except DecodeError:
             failures += 1
         # raw leaked bits vs the truly embedded bits, pooled contingency
-        params = stego.StegoParams(
-            block_pixels=1, usable_mask=stego.default_usable_mask(third, 50000))
-        leaked = stego.extract(res.stego_image, third, params).bits
+        leaked = stego.extract(res.stego_image, third,
+                               stego.default_usable_mask(third, 50000), 1).bits
         n = min(len(leaked), len(res.bits))
         a, b = res.bits[:n], leaked[:n]
         for i in (0, 1):
@@ -321,16 +319,16 @@ def test_criterion_7_normalized_deviation():
 def test_criterion_8_block_mode_capacity_and_robustness():
     t0 = time.time()
     scene = make_scene(4096, 4096, "flat", 10000)
-    params = stego.StegoParams(block_pixels=256)
+    mask = np.ones((4096, 4096), dtype=bool)
     total_bits = 0
     errors = 0
     pair_index = 0
     while total_bits < 1_000_000:
         key, cover = capture_pair(scene, SensorConfig(seed=80_000 + pair_index))
-        capacity = params.capacity_bits(key)
+        capacity = stego.capacity_bits(mask, 256)
         assert capacity == (4096 * 4096) // 256  # exactly floor(N / 256)
         bits = codec.keyed_filler_bits(capacity, pair_index)
-        got = stego.extract(stego.embed(key, cover, bits, params), key, params).bits
+        got = stego.extract(stego.embed(key, cover, bits, mask, 256), key, mask, 256).bits
         errors += int(np.sum(got != bits))
         total_bits += capacity
         pair_index += 1

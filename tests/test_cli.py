@@ -68,6 +68,25 @@ def test_block_pixels_below_1_exits_1(ws, command):
     assert not os.path.exists(ws("out"))
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("calibrate", "--bin-width", "0"),
+    ("calibrate", "--runs", "1"),
+    ("calibrate", "--runs", "two"),
+    ("demo-lsb", "--bin-width", "0"),
+    ("demo-lsb", "--bin-width", "-4"),
+])
+def test_bad_flag_values_exit_1(ws, command, flag, value):
+    """A flag value out of range is a usage error, rejected before any
+    input is read or any output is written."""
+    assert run("capture", "--width", "8", "--height", "8",
+               "--key-out", ws("k.pgm"), "--cover-out", ws("c.pgm")) == 0
+    outputs = {"calibrate": ["--width", "8", "--height", "8",
+                             "--calibration-out", ws("out.cal")],
+               "demo-lsb": ["--image", ws("k.pgm"), "--out-prefix", ws("out")]}[command]
+    assert run(command, *outputs, flag, value) == 1
+    assert sorted(os.listdir(os.path.dirname(ws("k.pgm")))) == ["c.pgm", "k.pgm"]
+
+
 def test_io_errors_exit_2(ws):
     assert run("extract", "--stego", ws("missing.pgm"), "--key", ws("missing.pgm"),
                "--message-out", ws("x.bin")) == 2

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from shotstego import codec, pipeline
+from shotstego import codec, imageio, pipeline
 from shotstego.camera import SensorConfig, capture, capture_pair, make_scene
 from shotstego.codec import CodecError, DecodeError
 
@@ -120,3 +122,24 @@ def test_embed_validates_parity_and_g():
         pipeline.embed_message(key, cover, b"", parity_symbols=5)
     with pytest.raises(ValueError, match="block_pixels"):
         pipeline.embed_message(key, cover, b"", block_pixels=0)
+    with pytest.raises(ValueError, match="block_pixels"):
+        pipeline.extract_message(key, key, block_pixels=0)
+
+
+# SHA-256 of the stego PGM bytes for a 48-byte payload at parity 32 on a
+# 128x128 pcb scene at lambda = 1e4, whose dark and saturated tiles leave a
+# quarter of the pixels outside the usable mask.
+PINNED_STEGO = {
+    1: "b57c52f9c98bc35e10a49c905033b5b739aec6e4657fc888b49f1d62661c1d06",
+    16: "2a3db9127cfd2c0f255e184f88181c517b5b1f726580493e7fce2956769f5ee7",
+}
+
+
+@pytest.mark.parametrize("g", sorted(PINNED_STEGO))
+def test_stego_bytes_pinned(g):
+    _, _, key, cover = pair("pcb", seed=5, n=128)
+    payload = bytes(np.random.default_rng(11).integers(0, 256, 48, dtype=np.uint8))
+    res = pipeline.embed_message(key, cover, payload, parity_symbols=32, block_pixels=g)
+    assert hashlib.sha256(imageio.write_pgm16(res.stego_image)).hexdigest() == PINNED_STEGO[g]
+    assert pipeline.extract_message(res.stego_image, key, parity_symbols=32,
+                                    block_pixels=g) == payload

@@ -6,6 +6,9 @@ top level shows up here without running them.
 """
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -63,3 +66,24 @@ def test_import_leaves_scipy_stats_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
+
+
+def _bench_spans():
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_targets_resolve():
+    """Every function the benchmark traces is a callable of shotstego, and
+    the pixel-counted ones take their image or scene first."""
+    spans = _bench_spans()
+    for name, amount in spans.TARGETS.items():
+        module, func = name.split(".")
+        fn = getattr(importlib.import_module(f"shotstego.{module}"), func, None)
+        assert callable(fn), name
+        if amount is spans._px:
+            first = next(iter(inspect.signature(fn).parameters.values()))
+            assert first.annotation in ("RawImage", "SceneRadiance"), name

@@ -12,11 +12,9 @@ from shotstego.camera import SensorConfig, capture, capture_pair, make_scene
 from shotstego.imageio import RawImage, write_report
 from shotstego.statcheck import (
     CalibrationError,
-    Region,
     autocorrelation,
     build_calibration,
     chi_square_attack,
-    full_region,
     histogram,
     histogram_csv,
     kl_divergence,
@@ -34,35 +32,35 @@ def flat_capture(seed, n=256, lam=LAM_DETECT, index=0):
     return capture(make_scene(n, n, "flat", lam), SensorConfig(seed=seed), index)
 
 
+def crop(img, x, y, width, height):
+    """The width x height sub-image whose top-left pixel is (x, y)."""
+    return RawImage(width=width, height=height,
+                    pixels=img.pixels[y:y + height, x:x + width])
+
+
 # ---------------------------------------------------------------------------
 # histogram
 # ---------------------------------------------------------------------------
 
 def test_histogram_uniform_image_single_bin():
     img = RawImage(width=8, height=8, pixels=np.full((8, 8), 1234, dtype=np.uint16))
-    hist = histogram(img, full_region(img), bin_width=1)
+    hist = histogram(img, bin_width=1)
     assert hist.counts[1234] == 64
     assert int(np.sum(hist.counts > 0)) == 1
 
 
 def test_histogram_total_is_region_area():
     img = flat_capture(1, n=64)
-    hist = histogram(img, Region(3, 5, 21, 17), bin_width=4)
+    hist = histogram(crop(img, 3, 5, 21, 17), bin_width=4)
     assert hist.total == 21 * 17
     assert hist.counts.sum() == hist.total
-
-
-def test_histogram_region_bounds_checked():
-    img = flat_capture(2, n=32)
-    with pytest.raises(ValueError):
-        histogram(img, Region(20, 0, 20, 8))
 
 
 def test_histogram_of_shot_noise_capture():
     """Mean within 1e4 +- 3 and standard deviation within 100 +- 2 on a
     1e5-pixel region of a flat lambda=1e4 capture."""
     img = capture(make_scene(512, 512, "flat", 10000), SensorConfig(seed=3), 0)
-    hist = histogram(img, Region(0, 0, 512, 200), bin_width=1)
+    hist = histogram(crop(img, 0, 0, 512, 200), bin_width=1)
     assert hist.total == 102400
     centers = (hist.bin_edges[:-1] + hist.bin_edges[1:] - 1) / 2.0
     mean = np.sum(centers * hist.counts) / hist.total
@@ -73,7 +71,7 @@ def test_histogram_of_shot_noise_capture():
 
 def test_histogram_csv_format():
     img = RawImage(width=2, height=1, pixels=np.array([[7, 7]], dtype=np.uint16))
-    text = histogram_csv(histogram(img, full_region(img))).decode()
+    text = histogram_csv(histogram(img)).decode()
     assert text == "bin_low,bin_high,count\n7,8,2\n"
 
 
@@ -83,7 +81,7 @@ def test_histogram_csv_format():
 
 def test_kl_identical_is_zero():
     img = flat_capture(4, n=64)
-    hist = histogram(img, full_region(img))
+    hist = histogram(img)
     assert kl_divergence(hist, hist) == 0.0
 
 
@@ -99,8 +97,8 @@ def test_kl_two_term_analytic():
 
 def test_kl_requires_matching_bins_and_positive_smoothing():
     img = flat_capture(5, n=64)
-    h1 = histogram(img, full_region(img), 1)
-    h2 = histogram(img, full_region(img), 2)
+    h1 = histogram(img, 1)
+    h2 = histogram(img, 2)
     with pytest.raises(ValueError):
         kl_divergence(h1, h2)
     with pytest.raises(ValueError):
@@ -162,9 +160,8 @@ def test_kl_equals_dense_reference_on_captures(bin_width):
     imgs = [capture(scene, SensorConfig(seed=41), i) for i in range(3)]
     imgs.append(lsb_embed(imgs[0], codec.keyed_filler_bits(imgs[0].pixel_count, 3)))
     imgs.append(flat_capture(42, n=128, lam=1e4))
-    region = full_region(imgs[0])
-    hists = [histogram(im, region, bin_width) for im in imgs]
-    hists.append(histogram(imgs[1], Region(5, 7, 50, 61), bin_width))
+    hists = [histogram(im, bin_width) for im in imgs]
+    hists.append(histogram(crop(imgs[1], 5, 7, 50, 61), bin_width))
     for a in hists:
         for b in hists:
             for smoothing in (0.1, 0.5, 1.0, 3.3):
@@ -173,8 +170,8 @@ def test_kl_equals_dense_reference_on_captures(bin_width):
 
 def test_histograms_share_read_only_edges():
     img = flat_capture(43, n=32)
-    h1 = histogram(img, full_region(img), 4)
-    h2 = histogram(img, Region(0, 0, 8, 8), 4)
+    h1 = histogram(img, 4)
+    h2 = histogram(crop(img, 0, 0, 8, 8), 4)
     assert h1.bin_edges is h2.bin_edges
     assert not h1.bin_edges.flags.writeable
     assert np.array_equal(h1.bin_edges, np.arange(16385, dtype=np.int64) * 4)
@@ -182,8 +179,8 @@ def test_histograms_share_read_only_edges():
 
 def test_kl_continuous_in_smoothing():
     img_a, img_b = flat_capture(6, n=64), flat_capture(7, n=64)
-    ha = histogram(img_a, full_region(img_a))
-    hb = histogram(img_b, full_region(img_b))
+    ha = histogram(img_a)
+    hb = histogram(img_b)
     d1 = kl_divergence(ha, hb, smoothing=0.5)
     d2 = kl_divergence(ha, hb, smoothing=0.5001)
     assert abs(d1 - d2) < 1e-3 * max(d1, 1e-12)
@@ -193,13 +190,12 @@ def test_kl_between_independent_captures_within_null_floor():
     """Floor oracle: 100 capture-pair calibration runs of the same scene;
     a fresh pair's KL estimate must sit inside that empirical distribution."""
     scene = make_scene(256, 256, "flat", 10000)
-    region = Region(0, 0, 256, 256)
     null = []
     for t in range(100):
         a, b = capture_pair(scene, SensorConfig(seed=3000 + t))
-        null.append(kl_divergence(histogram(a, region), histogram(b, region)))
+        null.append(kl_divergence(histogram(a), histogram(b)))
     fresh_a, fresh_b = capture_pair(scene, SensorConfig(seed=4242))
-    fresh = kl_divergence(histogram(fresh_a, region), histogram(fresh_b, region))
+    fresh = kl_divergence(histogram(fresh_a), histogram(fresh_b))
     assert fresh <= 1.2 * np.percentile(null, 99)
 
 
@@ -233,15 +229,14 @@ def test_lsb_kl_separation_from_clean_floor():
     probability tilt (~u/40) makes pair equalization a first-order histogram
     distortion at a million pixels."""
     scene = make_scene(1024, 1024, "flat", LAM_DETECT)
-    region = Region(0, 0, 1024, 1024)
     floor = []
     for t in range(30):
         a, b = capture_pair(scene, SensorConfig(seed=8800 + t))
-        floor.append(kl_divergence(histogram(a, region), histogram(b, region)))
+        floor.append(kl_divergence(histogram(a), histogram(b)))
     img = capture(scene, SensorConfig(seed=8899), 0)
     bits = codec.keyed_filler_bits(img.pixel_count, 1)
     embedded = lsb_embed(img, bits)
-    kl = kl_divergence(histogram(img, region), histogram(embedded, region))
+    kl = kl_divergence(histogram(img), histogram(embedded))
     assert kl >= 5.0 * float(np.max(floor))
 
 
@@ -387,14 +382,14 @@ def test_normalized_deviation_requires_light():
 def test_chi2_requires_large_region():
     img = flat_capture(16, n=64)
     with pytest.raises(ValueError):
-        chi_square_attack(img, Region(0, 0, 64, 64))
+        chi_square_attack(img)
 
 
 def test_chi2_requires_populated_pairs():
     img = RawImage(width=128, height=128,
                    pixels=np.full((128, 128), 500, dtype=np.uint16))
     with pytest.raises(ValueError):
-        chi_square_attack(img, full_region(img))
+        chi_square_attack(img)
 
 
 def test_chi2_detects_full_lsb_embedding():
@@ -404,7 +399,7 @@ def test_chi2_detects_full_lsb_embedding():
     for t in range(60):
         img = flat_capture(20000 + t)
         bits = codec.keyed_filler_bits(img.pixel_count, t)
-        p = chi_square_attack(lsb_embed(img, bits), full_region(img))
+        p = chi_square_attack(lsb_embed(img, bits))
         detected += p < 0.01
     assert detected >= 57  # 95% of 60
 
@@ -436,7 +431,7 @@ def test_chi2_pvalue_equals_scipy_stats_reference(monkeypatch):
     """The statistic equals the float-count reference, and the p-value is
     scipy.stats.chi2.sf of it at its degrees of freedom, bit for bit, on
     clean, LSB, pixel-selection stego and pcb images."""
-    from shotstego.stego import StegoParams, embed
+    from shotstego.stego import embed
     calls = []
 
     def spy(df, stat):
@@ -446,10 +441,11 @@ def test_chi2_pvalue_equals_scipy_stats_reference(monkeypatch):
     monkeypatch.setattr(statcheck, "chdtrc", spy)
     key, cover = capture_pair(make_scene(256, 256, "flat", LAM_DETECT), SensorConfig(seed=44))
     bits = codec.keyed_filler_bits(key.pixel_count, 44)
-    images = [key, lsb_embed(key, bits), embed(key, cover, bits, StegoParams(block_pixels=1)),
+    every_pixel = np.ones((256, 256), dtype=bool)
+    images = [key, lsb_embed(key, bits), embed(key, cover, bits, every_pixel, 1),
               capture(make_scene(128, 128, "pcb", 3000), SensorConfig(seed=45), 0)]
     for img in images:
-        p = chi_square_attack(img, full_region(img))
+        p = chi_square_attack(img)
         df, stat = calls[-1]
         assert (stat, df) == _chi2_stat_reference(img)
         assert p == float(sps.chi2.sf(stat, df=df))
@@ -459,8 +455,7 @@ def test_chi2_pvalue_equals_scipy_stats_reference(monkeypatch):
 def test_chi2_clean_pvalues_uniform():
     """Null calibration oracle: p-values over clean captures pass a
     Kolmogorov-Smirnov uniformity test at the 1% level."""
-    ps = [chi_square_attack(flat_capture(21000 + t), Region(0, 0, 256, 256))
-          for t in range(100)]
+    ps = [chi_square_attack(flat_capture(21000 + t)) for t in range(100)]
     assert sps.kstest(ps, "uniform").pvalue > 0.01
 
 
@@ -468,15 +463,16 @@ def test_chi2_quantum_stego_indistinguishable_from_clean():
     """Two-sample check: p-values on pixel-selection stego images agree with
     the clean ensemble (KS two-sample at the 1% level) and the verdict rates
     at p < 0.01 differ by at most 3 points."""
-    from shotstego.stego import StegoParams, embed
+    from shotstego.stego import embed
+    every_pixel = np.ones((256, 256), dtype=bool)
     clean_ps, stego_ps = [], []
     for t in range(60):
-        clean_ps.append(chi_square_attack(flat_capture(22000 + t), Region(0, 0, 256, 256)))
+        clean_ps.append(chi_square_attack(flat_capture(22000 + t)))
         key, cover = capture_pair(make_scene(256, 256, "flat", LAM_DETECT),
                                   SensorConfig(seed=23000 + t))
         bits = codec.keyed_filler_bits(key.pixel_count, t)
-        stego_img = embed(key, cover, bits, StegoParams(block_pixels=1))
-        stego_ps.append(chi_square_attack(stego_img, Region(0, 0, 256, 256)))
+        stego_img = embed(key, cover, bits, every_pixel, 1)
+        stego_ps.append(chi_square_attack(stego_img))
     assert sps.ks_2samp(clean_ps, stego_ps).pvalue > 0.01
     r_clean = np.mean(np.array(clean_ps) < 0.01)
     r_stego = np.mean(np.array(stego_ps) < 0.01)
@@ -520,7 +516,8 @@ def test_ward_passes_clean_images(calibration):
 
 def test_ward_quantum_stego_rates_match_clean(calibration):
     """Rates compared over 300 verdicts (150 per ensemble)."""
-    from shotstego.stego import StegoParams, embed
+    from shotstego.stego import embed
+    every_pixel = np.ones((256, 256), dtype=bool)
     sus_clean = sus_stego = 0
     trials = 150
     for t in range(trials):
@@ -528,7 +525,7 @@ def test_ward_quantum_stego_rates_match_clean(calibration):
         key, cover = capture_pair(make_scene(256, 256, "flat", LAM_DETECT),
                                   SensorConfig(seed=28000 + t))
         bits = codec.keyed_filler_bits(key.pixel_count, 7000 + t)
-        stego_img = embed(key, cover, bits, StegoParams(block_pixels=1))
+        stego_img = embed(key, cover, bits, every_pixel, 1)
         sus_stego += ward_test(stego_img, calibration).verdict == "suspicious"
     assert abs(sus_clean - sus_stego) / trials <= 0.03  # within 3 points
 

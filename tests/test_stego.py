@@ -6,7 +6,7 @@ from shotstego import codec
 from shotstego.camera import SensorConfig, capture, capture_pair, make_scene
 from shotstego.imageio import RawImage
 from shotstego.stego import (
-    StegoParams,
+    capacity_bits,
     collision_rate,
     default_usable_mask,
     embed,
@@ -20,27 +20,28 @@ def small_pair(seed=21, n=256, lam=10000, pattern="flat"):
     return capture_pair(scene, SensorConfig(seed=seed))
 
 
+def every_pixel(img):
+    return np.ones((img.height, img.width), dtype=bool)
+
+
 def test_all_zero_bits_returns_key():
     key, cover = small_pair()
-    params = StegoParams(block_pixels=1,
-                         usable_mask=default_usable_mask(key, 50000))
-    bits = np.zeros(params.capacity_bits(key), dtype=np.uint8)
-    assert embed(key, cover, bits, params) == key
+    mask = default_usable_mask(key, 50000)
+    bits = np.zeros(capacity_bits(mask, 1), dtype=np.uint8)
+    assert embed(key, cover, bits, mask, 1) == key
 
 
 def test_all_one_bits_returns_cover():
     key, cover = small_pair()
-    params = StegoParams(block_pixels=1)  # empty mask: every pixel usable
     bits = np.ones(key.pixel_count, dtype=np.uint8)
-    assert embed(key, cover, bits, params) == cover
+    assert embed(key, cover, bits, every_pixel(key), 1) == cover
 
 
 def test_every_stego_pixel_from_key_or_cover():
     """Exhaustive source check: the stego image never invents a value."""
     key, cover = small_pair(seed=33)
-    params = StegoParams(block_pixels=1)
     bits = codec.keyed_filler_bits(key.pixel_count, 7)
-    out = embed(key, cover, bits, params).pixels
+    out = embed(key, cover, bits, every_pixel(key), 1).pixels
     assert bool(np.all((out == key.pixels) | (out == cover.pixels)))
     chosen = np.where(bits.reshape(out.shape) == 1, cover.pixels, key.pixels)
     assert np.array_equal(out, chosen)
@@ -48,8 +49,7 @@ def test_every_stego_pixel_from_key_or_cover():
 
 def test_extract_of_key_is_all_zeros():
     key, _ = small_pair(seed=40)
-    params = StegoParams(block_pixels=1)
-    decoded = extract(key, key, params)
+    decoded = extract(key, key, every_pixel(key), 1)
     assert decoded.raw_mismatch_count == 0
     assert not decoded.bits.any()
 
@@ -58,10 +58,10 @@ def test_extract_recovers_bits_where_pixels_differ():
     """Residual error rate at g=1 equals the collision rate restricted to
     1-bits; direct count of agreeing pixels is the oracle."""
     key, cover = small_pair(seed=55, n=512)
-    params = StegoParams(block_pixels=1)
+    mask = every_pixel(key)
     bits = codec.keyed_filler_bits(key.pixel_count, 99)
-    stego_img = embed(key, cover, bits, params)
-    got = extract(stego_img, key, params).bits
+    stego_img = embed(key, cover, bits, mask, 1)
+    got = extract(stego_img, key, mask, 1).bits
     differs = (key.pixels != cover.pixels).reshape(-1)
     expect = bits & differs
     assert np.array_equal(got, expect)
@@ -76,21 +76,21 @@ def test_group_mode_g16_error_free():
     ~(2.8e-3)^16, so one million bits decode without a single error."""
     scene = make_scene(4096, 4096, "flat", 10000)
     key, cover = capture_pair(scene, SensorConfig(seed=60))
-    params = StegoParams(block_pixels=16)
-    n_bits = params.capacity_bits(key)
+    mask = every_pixel(key)
+    n_bits = capacity_bits(mask, 16)
     assert n_bits == 4096 * 4096 // 16
     bits = codec.keyed_filler_bits(n_bits, 3)
-    got = extract(embed(key, cover, bits, params), key, params).bits
+    got = extract(embed(key, cover, bits, mask, 16), key, mask, 16).bits
     assert np.array_equal(got, bits)
 
 
 def test_bit_error_rate_monotone_in_group_size():
     key, cover = small_pair(seed=70, n=1024)
     rates = []
+    mask = every_pixel(key)
     for g in (1, 2, 4, 16, 256):
-        params = StegoParams(block_pixels=g)
-        bits = codec.keyed_filler_bits(params.capacity_bits(key), g)
-        got = extract(embed(key, cover, bits, params), key, params).bits
+        bits = codec.keyed_filler_bits(capacity_bits(mask, g), g)
+        got = extract(embed(key, cover, bits, mask, g), key, mask, g).bits
         rates.append(float(np.mean(got != bits)))
     assert all(a >= b for a, b in zip(rates, rates[1:]))
     assert rates[0] > 0
@@ -99,16 +99,14 @@ def test_bit_error_rate_monotone_in_group_size():
 
 def test_capacity_scaling_block_mode():
     key, _ = small_pair(seed=75, n=512)
-    params = StegoParams(block_pixels=256)
-    assert params.capacity_bits(key) == key.pixel_count // 256
+    assert capacity_bits(every_pixel(key), 256) == key.pixel_count // 256
 
 
 def test_masked_pixels_copied_from_key():
     key, cover = small_pair(seed=80, n=64, lam=10000, pattern="pcb")
     mask = default_usable_mask(key, 50000)
-    params = StegoParams(block_pixels=1, usable_mask=mask)
-    bits = np.ones(params.capacity_bits(key), dtype=np.uint8)
-    out = embed(key, cover, bits, params).pixels
+    bits = np.ones(capacity_bits(mask, 1), dtype=np.uint8)
+    out = embed(key, cover, bits, mask, 1).pixels
     assert np.array_equal(out[~mask], key.pixels[~mask])
 
 
@@ -122,15 +120,40 @@ def test_default_mask_excludes_saturated_and_dark():
 
 def test_embed_validates_lengths_and_dims():
     key, cover = small_pair(seed=82, n=32)
-    params = StegoParams(block_pixels=1)
+    mask = every_pixel(key)
     with pytest.raises(ValueError):
-        embed(key, cover, np.zeros(5, dtype=np.uint8), params)
+        embed(key, cover, np.zeros(5, dtype=np.uint8), mask, 1)
     other = RawImage(width=16, height=16,
                      pixels=np.zeros((16, 16), dtype=np.uint16))
     with pytest.raises(ValueError):
-        embed(key, other, np.zeros(key.pixel_count, dtype=np.uint8), params)
+        embed(key, other, np.zeros(key.pixel_count, dtype=np.uint8), mask, 1)
     with pytest.raises(ValueError):
-        extract(other, key, params)
+        extract(other, key, mask, 1)
+
+
+@pytest.mark.parametrize("g", [0, -3])
+def test_block_pixels_below_1_rejected(g):
+    key, cover = small_pair(seed=84, n=16)
+    mask = every_pixel(key)
+    with pytest.raises(ValueError, match="block_pixels"):
+        capacity_bits(mask, g)
+    with pytest.raises(ValueError, match="block_pixels"):
+        embed(key, cover, np.zeros(0, dtype=np.uint8), mask, g)
+    with pytest.raises(ValueError, match="block_pixels"):
+        extract(cover, key, mask, g)
+
+
+@pytest.mark.parametrize("shape", [(16, 8), (8, 16), (256,), (16, 16, 1), ()])
+def test_mask_of_wrong_shape_rejected(shape):
+    key, cover = small_pair(seed=85, n=16)
+    mask = np.ones(shape, dtype=bool)
+    with pytest.raises(ValueError, match="mask"):
+        embed(key, cover, np.zeros(mask.size, dtype=np.uint8), mask, 1)
+    with pytest.raises(ValueError, match="mask"):
+        extract(cover, key, mask, 1)
+    if len(shape) != 2:
+        with pytest.raises(ValueError, match="mask"):
+            capacity_bits(mask, 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -138,8 +161,7 @@ def test_embed_validates_lengths_and_dims():
        data=st.data())
 def test_grouping_matches_per_group_reference(h, w, g, data):
     """Bit b owns usable pixels flatnonzero(mask)[b*g:(b+1)*g]: embed and
-    extract agree with that rule applied group by group, and no mask is the
-    same as an all-true mask."""
+    extract agree with that rule applied group by group."""
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w)),
                     dtype=bool).reshape(h, w)
     usable = np.flatnonzero(mask)
@@ -150,24 +172,15 @@ def test_grouping_matches_per_group_reference(h, w, g, data):
     key, cover, other = (RawImage(width=w, height=h,
                                   pixels=r.integers(0, 3, (h, w), dtype=np.uint16))
                          for _ in range(3))
-    params = StegoParams(block_pixels=g, usable_mask=mask)
 
     expect = key.pixels.reshape(-1).copy()
     for bit, group in zip(bits, groups):
         if bit:
             expect[group] = cover.pixels.reshape(-1)[group]
-    assert np.array_equal(embed(key, cover, bits, params).pixels.reshape(-1), expect)
+    assert np.array_equal(embed(key, cover, bits, mask, g).pixels.reshape(-1), expect)
     differs = (other.pixels != key.pixels).reshape(-1)
     expect_bits = [int(differs[group].any()) for group in groups]
-    assert extract(other, key, params).bits.tolist() == expect_bits
-
-    no_mask = StegoParams(block_pixels=g)
-    all_true = StegoParams(block_pixels=g, usable_mask=np.ones((h, w), dtype=bool))
-    bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=h * w // g,
-                                       max_size=h * w // g)), dtype=np.uint8)
-    assert embed(key, cover, bits, no_mask) == embed(key, cover, bits, all_true)
-    assert np.array_equal(extract(other, key, no_mask).bits,
-                          extract(other, key, all_true).bits)
+    assert extract(other, key, mask, g).bits.tolist() == expect_bits
 
 
 def test_collision_rate_identity_and_saturated():
@@ -208,10 +221,10 @@ def test_wrong_key_bits_carry_no_payload(collision_oracle):
     sensor = SensorConfig(seed=90)
     key, cover = capture_pair(scene, sensor)
     third = capture(scene, sensor, 2)
-    params = StegoParams(block_pixels=1)
+    mask = every_pixel(key)
     bits = codec.keyed_filler_bits(key.pixel_count, 17)
-    stego_img = embed(key, cover, bits, params)
-    leaked = extract(stego_img, third, params).bits
+    stego_img = embed(key, cover, bits, mask, 1)
+    leaked = extract(stego_img, third, mask, 1).bits
     ones = float(np.mean(leaked))
     assert abs(ones - (1.0 - collision_oracle(10000.0))) < 5e-4
     mi = _plugin_mi(bits, leaked)
