@@ -41,11 +41,23 @@ runs the normal approximation in slabs of _CHUNK = 2^17 pixels, small
 enough that a slab's working arrays stay in the CPU cache; each slab takes
 its small-lambda pixels' counts from the batch's array before read noise
 and clipping.
+
+`captures` is the one capture path (`capture` takes one image from it). It
+makes the slab's work arrays once and reuses them across the slabs of
+every capture it yields: the counter offsets j * GAMMA, multiplied out
+once so each Box-Muller draw adds one constant to one array; the key-stream
+words and the mix scratch; the float32 uniforms, angles and normals; and
+the slab's float32 lambda with its square root, which a one-slab scene
+without exposure jitter computes once per call. A loop over many captures
+therefore allocates per capture only the uint16 pixel array it yields, and
+the work arrays (about 1.7 MB for a 256^2 scene) are freed with the
+generator.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,22 +165,17 @@ def make_scene(width: int, height: int, pattern: str, mean_level: float) -> Scen
 # counter-based sampling
 # ---------------------------------------------------------------------------
 
+def _stream_offset(base: int, draw: int) -> int:
+    """What a draw under a stream base adds to (counter + 1) * GAMMA."""
+    return (base + (draw + 1) * DRAW_DELTA) & rng.MASK64
+
+
 def _words(base: int, idx: np.ndarray, draw: int) -> np.ndarray:
     """The splitmix64 words for (counter idx, draw) under a stream base."""
     z = idx + np.uint64(1)
     z *= np.uint64(rng.GAMMA)
-    z += np.uint64((base + (draw + 1) * DRAW_DELTA) & rng.MASK64)
-    return rng.mix_words(z)
-
-
-def _uniforms(base: int, idx: np.ndarray, draw: int) -> np.ndarray:
-    """float32 uniforms in (0, 1] for (counter idx, draw) under a stream base."""
-    w = _words(base, idx, draw)
-    w >>= np.uint64(24)
-    u = w.view(np.int64).astype(np.float32)  # exact below 2^63, faster than uint64
-    u += np.float32(1.0)
-    u *= _INV_2_40
-    return u
+    z += np.uint64(_stream_offset(base, draw))
+    return rng.mix_words(z, np.empty_like(z))
 
 
 def _uniforms64(base: int, idx: np.ndarray, draw: int) -> np.ndarray:
@@ -180,27 +187,80 @@ def _uniforms64(base: int, idx: np.ndarray, draw: int) -> np.ndarray:
     return u
 
 
-def _chunk_normals(base: int, start: int, count: int) -> np.ndarray:
-    """One standard normal per pixel start..start+count, Box-Muller with the
-    cos/sin pair trick. Uniform pairs are keyed by the absolute pixel-pair
-    id (pixel_index >> 1), so each value is a pure function of the pixel
-    index no matter how the image is chunked. start must be even."""
-    half = (count + 1) // 2
-    pair_ids = np.arange(start >> 1, (start >> 1) + half, dtype=np.uint64)
-    r = _uniforms(base, pair_ids, 0)
-    np.log(r, out=r)
-    r *= np.float32(-2.0)
-    np.sqrt(r, out=r)
-    theta = _uniforms(base, pair_ids, 1)
-    theta *= np.float32(2.0 * np.pi)
-    z = np.empty(count, dtype=np.float32)
-    trig = np.cos(theta)
-    trig *= r
-    z[0::2] = trig
-    np.sin(theta, out=trig)
-    trig *= r
-    z[1::2] = trig[: count - half]
-    return z
+class _SlabWork:
+    """The work arrays of the normal path for slabs of up to `slab` pixels,
+    made once by a `captures` call and reused across its slabs and captures.
+
+    The counter offsets j * GAMMA are multiplied out once: the words of
+    pixel pair p0 + j under one draw are mix(offsets[j] + constant), so each
+    Box-Muller draw adds one constant to one array. lam32 and its root hold
+    the slab's scaled lambda; they are recomputed only when the slab or the
+    exposure factor changes, so a one-slab image without jitter computes
+    them once per call.
+    """
+
+    def __init__(self, slab: int, read_noise: bool):
+        half = (slab + 1) // 2
+        self.offsets = np.arange(half, dtype=np.uint64)
+        self.offsets *= np.uint64(rng.GAMMA)
+        self.words = np.empty(half, dtype=np.uint64)
+        self.shifted = np.empty(half, dtype=np.uint64)  # mix_words' scratch
+        self.radius = np.empty(half, dtype=np.float32)
+        # the angle and its cos/sin reuse the scratch's bytes: the angle is
+        # converted after its own draw's mix, the last of a normals call
+        self.angle, self.trig = self.shifted.view(np.float32).reshape(2, half)
+        self.counts = np.empty(slab, dtype=np.float32)
+        self.noise = np.empty(slab, dtype=np.float32) if read_noise else None
+        self.lam32 = np.empty(slab, dtype=np.float32)
+        self.root = np.empty(slab, dtype=np.float32)
+        self.lam_of = None  # (first pixel, exposure factor) lam32 was filled for
+
+    def scaled_lambda(self, lam: np.ndarray, first: int,
+                      jitter: float) -> tuple[np.ndarray, np.ndarray]:
+        """lam32 and sqrt(lam32) for the slab of lam (already scaled by
+        jitter) that starts at pixel `first`."""
+        lam32, root = self.lam32[:len(lam)], self.root[:len(lam)]
+        if self.lam_of != (first, jitter):
+            np.copyto(lam32, lam)
+            np.sqrt(lam32, out=root)
+            self.lam_of = (first, jitter)
+        return lam32, root
+
+    def _uniforms(self, base: int, first_pair: int, draw: int, u: np.ndarray) -> None:
+        """float32 uniforms in (0, 1] into u for the pixel pairs
+        first_pair.. under a stream base."""
+        w, t = self.words[:len(u)], self.shifted[:len(u)]
+        constant = ((first_pair + 1) * rng.GAMMA + _stream_offset(base, draw)) & rng.MASK64
+        np.add(self.offsets[:len(u)], np.uint64(constant), out=w)
+        rng.mix_words(w, t)
+        w >>= np.uint64(24)
+        # the int64 view is exact below 2^63 and converts faster than uint64
+        np.copyto(u, w.view(np.int64), casting="unsafe")
+        u += np.float32(1.0)
+        u *= _INV_2_40
+
+    def normals(self, base: int, start: int, z: np.ndarray) -> np.ndarray:
+        """One standard normal per pixel start..start+len(z) into z,
+        Box-Muller with the cos/sin pair trick. Uniform pairs are keyed by
+        the absolute pixel-pair id (pixel_index >> 1), so each value is a
+        pure function of the pixel index no matter how the image is
+        chunked. start must be even."""
+        count = len(z)
+        half = (count + 1) // 2
+        r, theta, trig = self.radius[:half], self.angle[:half], self.trig[:half]
+        self._uniforms(base, start >> 1, 0, r)
+        np.log(r, out=r)
+        r *= np.float32(-2.0)
+        np.sqrt(r, out=r)
+        self._uniforms(base, start >> 1, 1, theta)
+        theta *= np.float32(2.0 * np.pi)
+        np.cos(theta, out=trig)
+        trig *= r
+        z[0::2] = trig
+        np.sin(theta, out=trig)
+        trig *= r
+        z[1::2] = trig[: count - half]
+        return z
 
 
 def _poisson_inversion(base: int, idx: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -269,6 +329,67 @@ def _poisson_ptrs(base: int, idx: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return counts
 
 
+def captures(scene: SceneRadiance, sensor: SensorConfig,
+             indices: Iterable[int]) -> Iterator[RawImage]:
+    """The captures of the scene at each of `indices` in turn, each equal
+    to `capture(scene, sensor, index)` and each with its own pixel array.
+
+    The slab work arrays are made once here and reused across the slabs
+    of every capture, so a loop over many captures allocates only their
+    pixel arrays; they are freed with the generator. The scene must not
+    change while the generator runs.
+    """
+    n = scene.width * scene.height
+    lam_flat = scene.lam.reshape(-1)
+    full_well = np.float32(sensor.full_well)
+    sigma_r = sensor.read_noise_sigma
+    work = _SlabWork(min(n, _CHUNK), sigma_r > 0)
+    batch = 4 * _CHUNK  # at 4096^2, 2 slabs were slower; 8 no faster, +3 MB peak RSS
+    for capture_index in indices:
+        jitter = exposure_factor(sensor, capture_index)
+        base = rng.mix((sensor.seed ^ rng.CAPTURE_SALT) + (capture_index + 1) * rng.GAMMA)
+        noise_base = rng.mix(base ^ rng.READNOISE_SALT)
+        small_base = rng.mix(base ^ rng.POISSON_SMALL_SALT)
+        out = np.empty(n, dtype=np.uint16)
+        for first in range(0, n, batch):
+            lam_batch = lam_flat[first:first + batch]
+            if jitter != 1.0:
+                lam_batch = lam_batch * jitter
+            # exact counts for the batch's small-lambda pixels, drawn in
+            # sub-batches of at most _CHUNK // 2 pixels whose sampler arrays
+            # stay in cache even when the whole batch is dark
+            small = np.flatnonzero(lam_batch < NORMAL_APPROX_THRESHOLD)
+            small_counts = np.empty(len(small), dtype=np.float32)
+            for at in range(0, len(small), _CHUNK // 2):
+                part = small[at:at + _CHUNK // 2]
+                lam_part = lam_batch[part]
+                idx = np.uint64(first) + part.astype(np.uint64)
+                low = lam_part < INVERSION_THRESHOLD
+                drawn = small_counts[at:at + len(part)]
+                drawn[low] = _poisson_inversion(small_base, idx[low], lam_part[low])
+                drawn[~low] = _poisson_ptrs(small_base, idx[~low], lam_part[~low])
+            for start in range(0, len(lam_batch), _CHUNK):
+                stop = min(start + _CHUNK, len(lam_batch))
+                lam32, root = work.scaled_lambda(lam_batch[start:stop], first + start, jitter)
+                counts = work.normals(base, first + start, work.counts[:stop - start])
+                counts *= root
+                counts += lam32
+                np.rint(counts, out=counts)
+                # the normal draws of small-lambda pixels are overwritten by exact counts
+                lo, hi = np.searchsorted(small, (start, stop))
+                counts[small[lo:hi] - start] = small_counts[lo:hi]
+                if sigma_r > 0:
+                    np.maximum(counts, np.float32(0.0), out=counts)  # the clip floors otherwise
+                    noise = work.normals(noise_base, first + start, work.noise[:stop - start])
+                    noise *= np.float32(sigma_r)
+                    np.rint(noise, out=noise)
+                    counts += noise
+                np.clip(counts, np.float32(0.0), full_well, out=counts)
+                out[first + start:first + stop] = counts
+        yield RawImage(width=scene.width, height=scene.height,
+                       pixels=out.reshape(scene.height, scene.width))
+
+
 def capture(scene: SceneRadiance, sensor: SensorConfig, capture_index: int) -> RawImage:
     """Simulate one exposure of the scene.
 
@@ -276,53 +397,8 @@ def capture(scene: SceneRadiance, sensor: SensorConfig, capture_index: int) -> R
     exposure factor, add rounded Gaussian read noise, clamp to
     [0, full_well]. Deterministic in (seed, capture_index, pixel index).
     """
-    n = scene.width * scene.height
-    jitter = exposure_factor(sensor, capture_index)
-    base = rng.mix((sensor.seed ^ rng.CAPTURE_SALT) + (capture_index + 1) * rng.GAMMA)
-    noise_base = rng.mix(base ^ rng.READNOISE_SALT)
-    small_base = rng.mix(base ^ rng.POISSON_SMALL_SALT)
-    lam_flat = scene.lam.reshape(-1)
-    out = np.empty(n, dtype=np.uint16)
-    sigma_r = sensor.read_noise_sigma
-    full_well = np.float32(sensor.full_well)
-    batch = 4 * _CHUNK  # at 4096^2, 2 slabs were slower; 8 no faster, +3 MB peak RSS
-    for first in range(0, n, batch):
-        lam_batch = lam_flat[first:first + batch]
-        if jitter != 1.0:
-            lam_batch = lam_batch * jitter
-        # exact counts for the batch's small-lambda pixels, drawn in
-        # sub-batches of at most _CHUNK // 2 pixels whose sampler arrays
-        # stay in cache even when the whole batch is dark
-        small = np.flatnonzero(lam_batch < NORMAL_APPROX_THRESHOLD)
-        small_counts = np.empty(len(small), dtype=np.float32)
-        for at in range(0, len(small), _CHUNK // 2):
-            part = small[at:at + _CHUNK // 2]
-            lam_part = lam_batch[part]
-            idx = np.uint64(first) + part.astype(np.uint64)
-            low = lam_part < INVERSION_THRESHOLD
-            drawn = small_counts[at:at + len(part)]
-            drawn[low] = _poisson_inversion(small_base, idx[low], lam_part[low])
-            drawn[~low] = _poisson_ptrs(small_base, idx[~low], lam_part[~low])
-        for start in range(0, len(lam_batch), _CHUNK):
-            stop = min(start + _CHUNK, len(lam_batch))
-            lam32 = lam_batch[start:stop].astype(np.float32)
-            counts = _chunk_normals(base, first + start, stop - start)
-            counts *= np.sqrt(lam32)
-            counts += lam32
-            np.rint(counts, out=counts)
-            # the normal draws of small-lambda pixels are overwritten by exact counts
-            lo, hi = np.searchsorted(small, (start, stop))
-            counts[small[lo:hi] - start] = small_counts[lo:hi]
-            if sigma_r > 0:
-                np.maximum(counts, np.float32(0.0), out=counts)  # the clip floors otherwise
-                noise = _chunk_normals(noise_base, first + start, stop - start)
-                noise *= np.float32(sigma_r)
-                np.rint(noise, out=noise)
-                counts += noise
-            np.clip(counts, np.float32(0.0), full_well, out=counts)
-            out[first + start:first + stop] = counts
-    return RawImage(width=scene.width, height=scene.height,
-                    pixels=out.reshape(scene.height, scene.width))
+    (img,) = captures(scene, sensor, (capture_index,))
+    return img
 
 
 def exposure_factor(sensor: SensorConfig, capture_index: int) -> float:

@@ -3,7 +3,11 @@
 Exit codes are a stable scripting contract:
   0  success
   1  usage error (bad flags, message too large)
-  2  I/O or file-format error
+  2  I/O or file-format error, or an input the library refuses: a scene or
+     sensor value out of range (--width 0, a negative or non-finite
+     --mean-level or --read-noise-sigma, --full-well outside [1, 65535],
+     --exposure-jitter-fraction outside [0, 1)), an image a statistic
+     cannot use
   3  decode failure (uncorrectable data or CRC mismatch; wrong key lands here)
   4  analysis verdict "suspicious" while --fail-on-suspicious is set
 

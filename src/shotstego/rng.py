@@ -37,9 +37,11 @@ def mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def mix_words(state: np.ndarray) -> np.ndarray:
-    """`mix` in place on a uint64 working array (wrapping arithmetic)."""
-    t = state >> np.uint64(30)
+def mix_words(state: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """`mix` in place on a uint64 working array (wrapping arithmetic); t is
+    a uint64 scratch array of the same shape, so a caller that mixes many
+    arrays of one size allocates nothing per call."""
+    np.right_shift(state, np.uint64(30), out=t)
     state ^= t
     state *= _M1
     np.right_shift(state, np.uint64(27), out=t)
@@ -55,4 +57,4 @@ def outputs(seed: int, first: int, count: int) -> np.ndarray:
     z = np.arange(first, first + count, dtype=np.uint64)
     z *= np.uint64(GAMMA)
     z += np.uint64(seed & MASK64)
-    return mix_words(z)
+    return mix_words(z, np.empty_like(z))

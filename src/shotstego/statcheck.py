@@ -34,16 +34,58 @@ from typing import Optional
 import numpy as np
 from scipy.special import chdtrc
 
-from .camera import SceneRadiance, SensorConfig, capture
+# capture stays imported although the battery draws from captures():
+# the benchmark's self-test checks that its tracer patches this binding
+from .camera import SceneRadiance, SensorConfig, capture, captures  # noqa: F401
 from .imageio import PGM_MAXVAL, RawImage
 
 AUTOCORR_LAGS = 8
+KL_SMOOTHING = 0.5
 _CHI2_MIN_PAIR = 32
 _NVALUES = PGM_MAXVAL + 1
 
 
 class CalibrationError(ValueError):
     """Missing or undersized calibration data."""
+
+
+class _WorkSet:
+    """The work arrays of the battery for images of up to `pixel_count`
+    pixels. A call that judges image after image (build_calibration,
+    ward_test) makes one and reuses it, so per image the statistics
+    allocate only the value counts and small arrays, none the size of the
+    image or of the 16-bit value range. Nothing here is shared between
+    calls or outlives the call.
+
+    The steps run one after another and each is done with its arrays
+    before the next starts, so they share bytes: `ints` is `scratch` seen
+    as int64.
+    """
+
+    def __init__(self, pixel_count: int):
+        size = max(pixel_count, _NVALUES)
+        self.reals = np.empty(size)  # KL terms; centred K - C; sqrt(K + C)
+        self.scratch = np.empty(size)  # lag products; (K - C) / sqrt(K + C)
+        self.ints = self.scratch.view(np.int64)  # widened pixels; value-pair totals
+        self.flags = np.empty(size, dtype=bool)  # populated bins; well-populated pairs; K + C >= 16
+
+    def histogram(self, img: RawImage, bin_width: int) -> Histogram:
+        return _histogram(_value_counts(img, self.ints), img.pixel_count, bin_width)
+
+    def value_statistics(self, img: RawImage, reference: Histogram) -> tuple[float, float]:
+        """The KL divergence from the reference histogram and the
+        chi-square p-value, both from one count of the image's values."""
+        counts = _value_counts(img, self.ints)
+        hist = _histogram(counts, img.pixel_count, reference.bin_width)
+        kl = _kl_bits(hist, reference, KL_SMOOTHING, self.reals, self.flags)
+        return kl, _chi2_pvalue(counts, img.pixel_count, self.ints, self.flags)
+
+    def pair_statistics(self, key: RawImage, cover: RawImage) -> tuple[np.ndarray, float]:
+        """The autocorrelation and the normalized deviation of one capture
+        pair, in that order, as the public functions compute them."""
+        _check_pair(key, cover)
+        rho = _autocorrelation(key, cover, AUTOCORR_LAGS, self.reals, self.scratch)
+        return rho, _normalized_deviation(key, cover, self.reals, self.scratch, self.flags)
 
 
 # ---------------------------------------------------------------------------
@@ -75,19 +117,51 @@ def _bin_edges(bin_width: int) -> np.ndarray:
     return edges
 
 
+def _value_counts(img: RawImage, ints: np.ndarray) -> np.ndarray:
+    """Counts of every 16-bit value in the image. The pixels are widened
+    into ints (int64, at least the pixel count), the index array bincount
+    would otherwise allocate."""
+    vals = ints[:img.pixel_count]
+    np.copyto(vals, img.pixels.reshape(-1))
+    return np.bincount(vals, minlength=_NVALUES)
+
+
+def _histogram(counts: np.ndarray, total: int, bin_width: int) -> Histogram:
+    """The histogram of bin_width from the counts of every 16-bit value;
+    a bin's count is the exact integer sum of its values' counts."""
+    edges = _bin_edges(bin_width)
+    if bin_width > 1:
+        counts = np.add.reduceat(counts, edges[:-1])
+    return Histogram(bin_edges=edges, counts=counts, total=total)
+
+
 def histogram(img: RawImage, bin_width: int = 1) -> Histogram:
     """Histogram of the image's pixel values; bins of bin_width counts."""
     if bin_width < 1:
         raise ValueError("bin_width must be >= 1")
-    vals = img.pixels.reshape(-1)
-    edges = _bin_edges(bin_width)
-    if bin_width > 1:
-        vals = vals // bin_width
-    counts = np.bincount(vals, minlength=len(edges) - 1)
-    return Histogram(bin_edges=edges, counts=counts, total=int(vals.size))
+    counts = _value_counts(img, np.empty(img.pixel_count, dtype=np.int64))
+    return _histogram(counts, img.pixel_count, bin_width)
 
 
-def kl_divergence(p_hist: Histogram, q_hist: Histogram, smoothing: float = 0.5) -> float:
+def _kl_bits(p_hist: Histogram, q_hist: Histogram, smoothing: float,
+             terms: np.ndarray, populated: np.ndarray) -> float:
+    """kl_divergence with its per-bin terms and populated-bin flags in the
+    work arrays terms (float64) and populated (bool), each >= nbins long."""
+    nbins = len(p_hist.counts)
+    p_norm = p_hist.total + smoothing * nbins
+    q_norm = q_hist.total + smoothing * nbins
+    p_empty, q_empty = smoothing / np.array([p_norm, q_norm], dtype=np.float64)
+    terms = terms[:nbins]
+    terms.fill(p_empty * np.log2(p_empty / q_empty))
+    used = np.flatnonzero(np.logical_or(p_hist.counts, q_hist.counts, out=populated[:nbins]))
+    p = (p_hist.counts[used] + smoothing) / p_norm
+    q = (q_hist.counts[used] + smoothing) / q_norm
+    terms[used] = p * np.log2(p / q)
+    return float(np.sum(terms))
+
+
+def kl_divergence(p_hist: Histogram, q_hist: Histogram,
+                  smoothing: float = KL_SMOOTHING) -> float:
     """D(P || Q) in bits over additively smoothed bin probabilities.
 
     Zero iff the smoothed distributions coincide; always >= 0 (Gibbs).
@@ -103,15 +177,7 @@ def kl_divergence(p_hist: Histogram, q_hist: Histogram, smoothing: float = 0.5) 
             and not np.array_equal(p_hist.bin_edges, q_hist.bin_edges):
         raise ValueError("histograms use different binning")
     nbins = len(p_hist.counts)
-    p_norm = p_hist.total + smoothing * nbins
-    q_norm = q_hist.total + smoothing * nbins
-    p_empty, q_empty = smoothing / np.array([p_norm, q_norm], dtype=np.float64)
-    terms = np.full(nbins, p_empty * np.log2(p_empty / q_empty))
-    used = np.flatnonzero(p_hist.counts | q_hist.counts)
-    p = (p_hist.counts[used] + smoothing) / p_norm
-    q = (q_hist.counts[used] + smoothing) / q_norm
-    terms[used] = p * np.log2(p / q)
-    return float(np.sum(terms))
+    return _kl_bits(p_hist, q_hist, smoothing, np.empty(nbins), np.empty(nbins, dtype=bool))
 
 
 def histogram_csv(hist: Histogram) -> bytes:
@@ -143,22 +209,24 @@ def lsb_embed(img: RawImage, bits: np.ndarray) -> RawImage:
 # Pair statistics: autocorrelation and normalized deviation
 # ---------------------------------------------------------------------------
 
-def autocorrelation(key: RawImage, cover: RawImage, max_lag: int = AUTOCORR_LAGS) -> np.ndarray:
-    """Normalized autocovariance of the capture difference at horizontal
-    lags 1..max_lag, rows pooled. Subtracting the two captures cancels the
-    static scene, leaving pure noise whose correlation should vanish."""
+def _check_pair(key: RawImage, cover: RawImage) -> None:
     if (key.width, key.height) != (cover.width, cover.height):
         raise ValueError("image dimensions do not match")
-    if not (1 <= max_lag < key.width):
+
+
+def _autocorrelation(key: RawImage, cover: RawImage, max_lag: int,
+                     centred: np.ndarray, prod: np.ndarray) -> np.ndarray:
+    """autocorrelation, with the centred difference and the lag products
+    in the float64 work arrays centred and prod (each >= the pixel count)."""
+    h, w = key.pixels.shape
+    if not (1 <= max_lag < w):
         raise ValueError("max_lag must be in [1, width)")
-    d = key.pixels.astype(np.int64)
-    d -= cover.pixels
-    centred = d - d.mean()
+    centred = np.subtract(key.pixels, cover.pixels, out=centred[:h * w].reshape(h, w),
+                          dtype=np.float64)
+    centred -= centred.mean()  # K - C is integer-valued: its float64 sum is exact
     # every product goes to one buffer, as a C-contiguous view, which
     # np.mean sums in the same order as a newly allocated product
-    h, w = centred.shape
-    prod = np.empty(centred.size)
-    var = np.mean(np.multiply(centred, centred, out=prod.reshape(h, w)))
+    var = np.mean(np.multiply(centred, centred, out=prod[:h * w].reshape(h, w)))
     if var == 0:
         raise ValueError("difference image is constant; identical captures?")
     rho = np.empty(max_lag, dtype=np.float64)
@@ -169,51 +237,62 @@ def autocorrelation(key: RawImage, cover: RawImage, max_lag: int = AUTOCORR_LAGS
     return rho
 
 
+def _normalized_deviation(key: RawImage, cover: RawImage, root: np.ndarray,
+                          ratios: np.ndarray, lit: np.ndarray) -> float:
+    """normalized_deviation, with sqrt(K + C) and (K - C) / sqrt(K + C) in
+    the float64 work arrays root and ratios and the mask K + C >= 16 in
+    the bool work array lit (each >= the pixel count)."""
+    n = key.pixel_count
+    s = np.add(key.pixels.reshape(-1), cover.pixels.reshape(-1), out=root[:n],
+               dtype=np.float64)
+    ok = np.greater_equal(s, 16, out=lit[:n])
+    if not ok.any():
+        raise ValueError("no pixels with K + C >= 16")
+    np.sqrt(s, out=s)
+    r = np.subtract(key.pixels.reshape(-1), cover.pixels.reshape(-1), out=ratios[:n],
+                    dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):  # K + C = 0 is dropped
+        r /= s
+    r = r[ok]
+    return float(np.sqrt(np.mean(np.square(r, out=r))))
+
+
+def autocorrelation(key: RawImage, cover: RawImage, max_lag: int = AUTOCORR_LAGS) -> np.ndarray:
+    """Normalized autocovariance of the capture difference at horizontal
+    lags 1..max_lag, rows pooled. Subtracting the two captures cancels the
+    static scene, leaving pure noise whose correlation should vanish."""
+    _check_pair(key, cover)
+    n = key.pixel_count
+    return _autocorrelation(key, cover, max_lag, np.empty(n), np.empty(n))
+
+
 def normalized_deviation(key: RawImage, cover: RawImage) -> float:
     """Root mean square of (K - C) / sqrt(K + C) over pixels with
     K + C >= 16. Pure shot noise gives exactly 1 in expectation; identical
     captures give 0; exposure drift pushes it above 1."""
-    if (key.width, key.height) != (cover.width, cover.height):
-        raise ValueError("image dimensions do not match")
-    k = key.pixels.astype(np.float64)
-    c = cover.pixels.astype(np.float64)
-    s = k + c
-    ok = s >= 16
-    if not ok.any():
-        raise ValueError("no pixels with K + C >= 16")
-    # r = (K - C) / sqrt(K + C) over the whole frame, in place in k
-    k -= c
-    with np.errstate(divide="ignore", invalid="ignore"):  # K + C = 0 is dropped
-        k /= np.sqrt(s, out=s)
-    r = k[ok]
-    return float(np.sqrt(np.mean(np.square(r, out=r))))
+    _check_pair(key, cover)
+    n = key.pixel_count
+    return _normalized_deviation(key, cover, np.empty(n), np.empty(n), np.empty(n, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
 # Chi-square pairs-of-values attack
 # ---------------------------------------------------------------------------
 
-def chi_square_attack(img: RawImage) -> float:
-    """P-value of the clean hypothesis from the pairs-of-values statistic.
-
-    For each value pair (2k, 2k+1) whose neighborhood is well populated,
-    predict the within-pair even fraction from the pair totals of the two
-    neighboring pairs (totals are invariant under LSB replacement), then
-    form the chi-square of observed even counts against the prediction.
-    The denominator includes the predictor's own sampling variance (delta
-    method), which keeps the statistic chi-square distributed under the
-    null. Small p-value: the splits are too balanced for a genuine smooth
-    histogram, the signature of full LSB embedding.
-    """
-    if img.pixel_count < 10_000:
+def _chi2_pvalue(counts: np.ndarray, pixel_count: int,
+                 sums: np.ndarray, well: np.ndarray) -> float:
+    """chi_square_attack from the counts of every 16-bit value, with the
+    value-pair totals in the int64 work array sums and the mask of
+    well-populated pairs in the bool work array well (each >= half the
+    number of counts)."""
+    if pixel_count < 10_000:
         raise ValueError("chi-square attack needs an image of >= 1e4 pixels")
-    counts = np.bincount(img.pixels.reshape(-1), minlength=_NVALUES)
     even = counts[0::2]
-    m = even + counts[1::2]
-    ok = m >= _CHI2_MIN_PAIR
-    ok[1:-1] &= (m[:-2] >= _CHI2_MIN_PAIR) & (m[2:] >= _CHI2_MIN_PAIR)
-    ok[0] = ok[-1] = False
-    kk = np.flatnonzero(ok)
+    m = np.add(even, counts[1::2], out=sums[:len(even)])
+    well = np.greater_equal(m, _CHI2_MIN_PAIR, out=well[:len(m)])
+    # a pair is tested when it and both neighbours are well populated, so
+    # never the first or the last
+    kk = 1 + np.flatnonzero(well[1:-1] & well[:-2] & well[2:])
     if kk.size == 0:
         raise ValueError("insufficient samples: no well-populated value pairs")
     # integer counts are exact in float64; only the selected pairs are converted
@@ -227,6 +306,24 @@ def chi_square_attack(img: RawImage) -> float:
     variance = m_k * q * (1.0 - q) + m_k ** 2 * var_q
     stat = float(np.sum((even_k - expected) ** 2 / variance))
     return float(chdtrc(kk.size, stat))  # the chi-square survival function
+
+
+def chi_square_attack(img: RawImage) -> float:
+    """P-value of the clean hypothesis from the pairs-of-values statistic.
+
+    For each value pair (2k, 2k+1) whose neighborhood is well populated,
+    predict the within-pair even fraction from the pair totals of the two
+    neighboring pairs (totals are invariant under LSB replacement), then
+    form the chi-square of observed even counts against the prediction.
+    The denominator includes the predictor's own sampling variance (delta
+    method), which keeps the statistic chi-square distributed under the
+    null. Small p-value: the splits are too balanced for a genuine smooth
+    histogram, the signature of full LSB embedding.
+    """
+    counts = _value_counts(img, np.empty(img.pixel_count, dtype=np.int64))
+    half = len(counts) // 2
+    return _chi2_pvalue(counts, img.pixel_count, np.empty(half, dtype=np.int64),
+                        np.empty(half, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -288,20 +385,24 @@ def build_calibration(scene: SceneRadiance, sensor: SensorConfig,
     Capture 0 becomes the KL reference; captures 1..runs provide the KL
     and chi-square nulls; the pairs (i - 1, i) for even i feed the
     pair-statistic nulls. Only the reference histogram and the previous
-    capture are held.
+    capture are held, with one work set for the camera and one for the
+    statistics.
     """
     if runs < 2:
         raise CalibrationError("calibration needs at least 2 runs")
-    prev = capture(scene, sensor, 0)
-    ref = histogram(prev, bin_width)
+    work = _WorkSet(scene.width * scene.height)
+    shots = captures(scene, sensor, range(runs + 1))
+    prev = next(shots)
+    ref = work.histogram(prev, bin_width)
     kl_null, chi2_null, ac_null, nd_null = [], [], [], []
-    for i in range(1, runs + 1):
-        im = capture(scene, sensor, i)
-        kl_null.append(kl_divergence(histogram(im, bin_width), ref))
-        chi2_null.append(_chi2_logp(chi_square_attack(im)))
+    for i, im in enumerate(shots, start=1):
+        kl, chi2_p = work.value_statistics(im, ref)
+        kl_null.append(kl)
+        chi2_null.append(_chi2_logp(chi2_p))
         if i % 2 == 0:
-            ac_null.append(float(np.max(np.abs(autocorrelation(prev, im, AUTOCORR_LAGS)))))
-            nd_null.append(abs(normalized_deviation(prev, im) - 1.0))
+            rho, nd = work.pair_statistics(prev, im)
+            ac_null.append(float(np.max(np.abs(rho))))
+            nd_null.append(abs(nd - 1.0))
         prev = im
     desc = f"{scene.width}x{scene.height} mean_lambda={scene.lam.mean():.6g}"
     return Calibration(
@@ -316,9 +417,10 @@ def ward_test(img: RawImage, calibration: Optional[Calibration],
               reference: Optional[RawImage] = None) -> AnalysisReport:
     """Run the battery against calibrated thresholds and render a verdict.
 
-    The KL and chi-square statistics always run; the pair statistics run
-    when a second capture of the same scene is provided. Suspicious iff any
-    statistic exceeds its calibrated 99th percentile.
+    The KL and chi-square statistics always run, from one count of the
+    image's values; the pair statistics run when a second capture of the
+    same scene is provided. Suspicious iff any statistic exceeds its
+    calibrated 99th percentile.
     """
     if calibration is None:
         raise CalibrationError("ward_test requires calibration data")
@@ -326,10 +428,9 @@ def ward_test(img: RawImage, calibration: Optional[Calibration],
         raise CalibrationError(
             f"calibration built from {calibration.n_runs} runs; need >= 100"
         )
-    hist = histogram(img, calibration.bin_width)
-    kl = kl_divergence(hist, calibration.reference_hist())
-    chi2_p = chi_square_attack(img)
-    sizes = {"kl": hist.total, "chi2": img.pixel_count}
+    work = _WorkSet(img.pixel_count)
+    kl, chi2_p = work.value_statistics(img, calibration.reference_hist())
+    sizes = {"kl": img.pixel_count, "chi2": img.pixel_count}
     exceed = [
         kl > calibration.threshold("kl"),
         _chi2_logp(chi2_p) > calibration.threshold("chi2_logp"),
@@ -337,9 +438,8 @@ def ward_test(img: RawImage, calibration: Optional[Calibration],
     ac: tuple = ()
     nd = math.nan
     if reference is not None:
-        rho = autocorrelation(img, reference, AUTOCORR_LAGS)
+        rho, nd = work.pair_statistics(img, reference)
         ac = tuple(float(v) for v in rho)
-        nd = normalized_deviation(img, reference)
         sizes["autocorr"] = img.pixel_count
         sizes["norm_dev"] = img.pixel_count
         exceed.append(float(np.max(np.abs(rho))) > calibration.threshold("autocorr_max"))

@@ -85,6 +85,28 @@ def test_capture_independent_of_chunking(monkeypatch):
         assert capture(scene, sensor, 0) == baseline
 
 
+@pytest.mark.parametrize("scene, sensor", [
+    (make_scene(400, 700, "gradient", 80.0), SensorConfig(seed=90)),
+    (make_scene(200, 150, "flat", 500.0),
+     SensorConfig(seed=91, read_noise_sigma=3.0, exposure_jitter_fraction=0.05)),
+], ids=["gradient-3-slabs", "flat-1-slab-jitter-noise"])
+def test_captures_equal_capture(scene, sensor):
+    """The generator reuses its work arrays across captures, out of order
+    and repeated, over several slabs and over one (whose lambda it keeps
+    while the exposure factor stays the same); each yielded image equals
+    capture() and stays unchanged after the generator is exhausted."""
+    indices = [5, 0, 3, 0]
+    yielded, at_yield = [], []
+    for img in camera.captures(scene, sensor, indices):
+        yielded.append(img)
+        at_yield.append(img.pixels.copy())
+    assert len(yielded) == len(indices)
+    for index, img, pixels in zip(indices, yielded, at_yield):
+        assert np.array_equal(img.pixels, pixels)
+        assert img == capture(scene, sensor, index)
+    assert yielded[1] == yielded[3] and yielded[1].pixels is not yielded[3].pixels
+
+
 def test_capture_pair_repeatable(flat_pair_1m):
     scene = make_scene(1024, 1024, "flat", 10000)
     again = capture_pair(scene, SensorConfig(seed=57))

@@ -127,14 +127,18 @@ def test_unsuitable_inputs_exit_2(ws, warden_ws):
 
 @pytest.mark.parametrize("flag, value", [
     ("--mean-level", "nan"), ("--mean-level", "inf"),
-    ("--read-noise-sigma", "nan"), ("--read-noise-sigma", "inf")])
-def test_non_finite_capture_inputs_exit_2(ws, flag, value):
-    """A non-finite level or noise sigma is refused like a negative one:
-    exit 2 and no image written."""
-    assert run("capture", "--width", "16", "--height", "16", flag, value,
-               "--key-out", ws("k.pgm"), "--cover-out", ws("c.pgm")) == 2
-    assert not os.path.exists(ws("k.pgm"))
-    assert not os.path.exists(ws("c.pgm"))
+    ("--read-noise-sigma", "nan"), ("--read-noise-sigma", "inf"),
+    ("--width", "0"), ("--mean-level", "-5"), ("--full-well", "0"),
+    ("--read-noise-sigma", "-1"), ("--exposure-jitter-fraction", "2")])
+def test_non_finite_capture_inputs_exit_2(ws, tmp_path, flag, value):
+    """A scene or sensor value out of range, non-finite ones included, is
+    refused by the camera rather than the parser: capture and calibrate
+    both exit 2 and write nothing."""
+    outputs = {"capture": ["--key-out", ws("k.pgm"), "--cover-out", ws("c.pgm")],
+               "calibrate": ["--calibration-out", ws("out.cal")]}
+    for command, out in outputs.items():
+        assert run(command, "--width", "16", "--height", "16", flag, value, *out) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_message_too_large_exits_1(ws):

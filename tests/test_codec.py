@@ -79,7 +79,7 @@ def test_splitmix64_array_matches_scalar():
         assert splitmix.outputs(seed, 41, 60).tolist() == seq[40:]
         state = np.arange(1, 101, dtype=np.uint64) * np.uint64(splitmix.GAMMA)
         state += np.uint64(seed & splitmix.MASK64)
-        assert splitmix.mix_words(state).tolist() == seq
+        assert splitmix.mix_words(state, np.empty_like(state)).tolist() == seq
 
 
 def test_draws_below_matches_reference_rejection():

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +57,19 @@ def test_histogram_total_is_region_area():
     hist = histogram(crop(img, 3, 5, 21, 17), bin_width=4)
     assert hist.total == 21 * 17
     assert hist.counts.sum() == hist.total
+
+
+@pytest.mark.parametrize("bin_width", [1, 2, 3, 7, 64, 65535, 65536])
+def test_histogram_equals_binned_bincount(bin_width):
+    """Bins of every width, the short last bin included, hold the count of
+    the values whose quotient by the width is the bin index."""
+    img = RawImage(width=3, height=4, pixels=np.array(
+        [[0, 1, 2], [3, 6, 7], [63, 64, 65534], [65535, 65535, 100]], dtype=np.uint16))
+    nbins = -(-65536 // bin_width)
+    expect = np.bincount(img.pixels.reshape(-1).astype(np.int64) // bin_width, minlength=nbins)
+    hist = histogram(img, bin_width)
+    assert hist.counts.dtype == np.int64 and len(hist.counts) == nbins
+    assert np.array_equal(hist.counts, expect)
 
 
 def test_histogram_of_shot_noise_capture():
@@ -604,6 +620,87 @@ def test_write_calibration_writes_the_sum_of_counts():
     cal = read_calibration(_small_calibration_text().encode())
     cal.reference_total = 99
     assert b"\nreference_total 4\n" in write_calibration(cal)
+
+
+# ---------------------------------------------------------------------------
+# calibration work arrays: same values as the public statistics, per call
+# ---------------------------------------------------------------------------
+
+def _calibration_reference(scene, sensor, runs, bin_width):
+    """build_calibration's reference counts and nulls as a plain loop over
+    the public functions, one fresh capture per call."""
+    ref = histogram(capture(scene, sensor, 0), bin_width)
+    kl, chi2, ac, nd = [], [], [], []
+    for i in range(1, runs + 1):
+        im = capture(scene, sensor, i)
+        kl.append(kl_divergence(histogram(im, bin_width), ref))
+        chi2.append(-math.log10(max(chi_square_attack(im), 1e-300)))
+        if i % 2 == 0:
+            prev = capture(scene, sensor, i - 1)
+            ac.append(float(np.max(np.abs(autocorrelation(prev, im, 8)))))
+            nd.append(abs(normalized_deviation(prev, im) - 1.0))
+    return ref, [np.array(v) for v in (kl, chi2, ac, nd)]
+
+
+def test_calibration_equals_public_statistics_loop():
+    """A setting no pin covers: two slabs, the second partial; dark pixels
+    on the exact samplers; read noise; exposure jitter; bin width 3. The
+    reused camera and battery work arrays must give exactly the values of
+    the public functions."""
+    scene = make_scene(512, 300, "gradient", 200.0)
+    sensor = SensorConfig(seed=2718, read_noise_sigma=2.0, exposure_jitter_fraction=0.03)
+    cal = build_calibration(scene, sensor, runs=12, bin_width=3)
+    ref, nulls = _calibration_reference(scene, sensor, 12, 3)
+    assert np.array_equal(cal.reference_counts, ref.counts)
+    assert cal.reference_total == ref.total == 512 * 300
+    got = [cal.kl_null, cal.chi2_logp_null, cal.autocorr_max_null, cal.normdev_dev_null]
+    assert [len(v) for v in got] == [12, 12, 6, 6]
+    for a, b in zip(got, nulls):
+        assert np.array_equal(a, b)
+
+
+def test_concurrent_calibrations_equal_serial_ones():
+    """Each call owns its work arrays: calibrations running at the same time
+    in more threads than cores give the bytes of serial runs."""
+    scene = make_scene(160, 128, "flat", LAM_DETECT)
+    seeds = (11, 12, 13)
+    serial = [write_calibration(build_calibration(scene, SensorConfig(seed=s), runs=16))
+              for s in seeds]
+    results = {}
+
+    def calibrate(seed):
+        results[seed] = write_calibration(
+            build_calibration(scene, SensorConfig(seed=seed), runs=16))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=calibrate, args=(s,)) for s in seeds]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [results.get(s) for s in seeds] == serial
+
+
+def test_calibration_memory_stays_bounded():
+    """The camera and battery work arrays of one call stay small: the traced
+    peak of a 20-run 256^2 calibration, after a warm-up call, is at most
+    4.5 MB (a calibration that allocated its temporaries per statistic
+    peaked near 3 MB; work arrays held for the whole process, near 10 MB)."""
+    scene = make_scene(256, 256, "flat", LAM_DETECT)
+    build_calibration(scene, SensorConfig(seed=3), runs=20)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        build_calibration(scene, SensorConfig(seed=4), runs=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5e6
 
 
 # ---------------------------------------------------------------------------
