@@ -421,15 +421,13 @@ def scatter(coded: bytes, perm: np.ndarray, capacity_bits: int, mixing_seed: int
         raise CodecError(f"permutation covers {len(perm)} slots, capacity has {slots}")
     check_capacity(len(coded), capacity_bits)
     bits = np.zeros(capacity_bits, dtype=np.uint8)
-    occupied = np.zeros(capacity_bits, dtype=bool)
+    free = np.ones(capacity_bits, dtype=bool)
     if len(coded) > 0:
-        byte_bits = np.unpackbits(np.frombuffer(coded, dtype=np.uint8)).reshape(-1, 8)
-        targets = perm[:len(coded)].astype(np.int64) * 8
-        offsets = targets[:, None] + np.arange(8)[None, :]
-        bits[offsets.ravel()] = byte_bits.ravel()
-        occupied[offsets.ravel()] = True
-    free = np.flatnonzero(~occupied)
-    bits[free] = keyed_filler_bits(len(free), mixing_seed)
+        placed = perm[:len(coded)]
+        bits[:8 * slots].reshape(slots, 8)[placed] = np.unpackbits(
+            np.frombuffer(coded, dtype=np.uint8)).reshape(-1, 8)
+        free[:8 * slots].reshape(slots, 8)[placed] = False
+    bits[free] = keyed_filler_bits(int(np.count_nonzero(free)), mixing_seed)
     return bits
 
 
@@ -438,11 +436,9 @@ def gather(bits: np.ndarray, perm: np.ndarray, coded_length: int) -> bytes:
     bits = np.asarray(bits, dtype=np.uint8)
     if coded_length > len(perm):
         raise CodecError(f"coded_length {coded_length} exceeds slot count {len(perm)}")
-    if len(bits) < 8 * coded_length:
-        raise CodecError("bit vector shorter than the requested byte count")
+    if len(bits) < 8 * len(perm):
+        raise CodecError(f"bit vector of {len(bits)} bits is shorter than {len(perm)} slots")
     if coded_length == 0:
         return b""
-    sources = perm[:coded_length].astype(np.int64) * 8
-    offsets = sources[:, None] + np.arange(8)[None, :]
-    return np.packbits(bits[offsets.ravel()]).tobytes()
-
+    rows = bits[:8 * len(perm)].reshape(len(perm), 8)
+    return np.packbits(rows[perm[:coded_length]]).tobytes()

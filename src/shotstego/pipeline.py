@@ -57,6 +57,8 @@ def extract_message(stego_image: RawImage, key: RawImage,
     slots = stego.capacity_bits(mask, block_pixels) // 8
     if slots < 1:
         raise DecodeError("image has no usable byte capacity")
+    bits = stego.extract(stego_image, key, mask, block_pixels).bits
+    del mask  # image-sized; freed before the permutation's work arrays
     perm = codec.mixing_permutation(slots, mixing_seed)
-    stream = codec.gather(stego.extract(stego_image, key, mask, block_pixels).bits, perm, slots)
+    stream = codec.gather(bits, perm, slots)
     return codec.rs_decode_stream(stream, parity_symbols)

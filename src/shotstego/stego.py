@@ -16,6 +16,14 @@ Both directions share one grouping rule: the usable pixels, in row-major
 order, are cut into runs of g and bit b owns run b; leftover usable pixels
 and masked pixels always come from the key. The boolean (height, width)
 mask is always given; `default_usable_mask` derives it from the key.
+
+Every image-sized pass (the mask, embed, extract) walks the flat pixels in
+slabs of SLAB_PIXELS, so its temporaries are slab-sized and the outputs are
+the only image-sized arrays. Embed and extract carry the usable-pixel rank
+from one slab to the next: if `rank` usable pixels precede a slab, its i-th
+usable pixel belongs to bit (rank + i) // g. A group that straddles slabs
+is cut at the slab boundaries; embed fills each part from the same bit and
+extract ORs the parts' differences into it.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from scipy.special import gammaln
 from .imageio import RawImage
 
 DARK_FLOOR = 16  # counts below this carry mostly electronic noise
+SLAB_PIXELS = 1 << 18  # pixels per slab: 256 kB of bool temporaries each
 
 
 @dataclass
@@ -45,9 +54,16 @@ def default_usable_mask(key: RawImage, full_well: int) -> np.ndarray:
     """Exclude the two failure sources visible in the key alone: saturated
     pixels (count pinned at the full well in both captures) and dark pixels
     (no photon noise to hide in). Both sides derive the identical mask from
-    the shared key image."""
-    px = key.pixels
-    return (px < full_well) & (px >= DARK_FLOOR)
+    the shared key image. A full well outside [1, 65535] is refused."""
+    if not 1 <= full_well <= 65535:
+        raise ValueError("full_well must be in [1, 65535] so counts fit 16 bits")
+    px = key.pixels.reshape(-1)
+    out = np.empty(px.shape, dtype=bool)
+    for s in range(0, px.size, SLAB_PIXELS):
+        part = slice(s, s + SLAB_PIXELS)
+        np.less(px[part], full_well, out=out[part])
+        out[part] &= px[part] >= DARK_FLOOR
+    return out.reshape(key.pixels.shape)
 
 
 def _flat_mask(mask: np.ndarray, block_pixels: int, shape: tuple) -> np.ndarray:
@@ -71,6 +87,31 @@ def _check_dims(a: RawImage, b: RawImage) -> None:
         raise ValueError("image dimensions do not match")
 
 
+def _slabs(mask: np.ndarray, g: int, n_groups: int):
+    """Walk the flat mask in slabs of SLAB_PIXELS pixels, carrying the rank
+    of the slab's first usable pixel. Yields the slab's pixel slice, its
+    mask, its usable count and its runs: (a, b, w, first) says that the
+    slab's usable pixels [a, b) are (b - a) // w rows of w pixels, row i
+    in group first + i. The runs are at most three: the tail of a group
+    begun in an earlier slab, the slab's whole groups and the head of a
+    group it leaves open. Usable pixels past the last whole group are in no
+    run."""
+    rank = 0
+    end = n_groups * g
+    for s in range(0, mask.size, SLAB_PIXELS):
+        part = slice(s, s + SLAB_PIXELS)
+        m = mask[part]
+        used = int(np.count_nonzero(m))
+        start, rank = rank, rank + used
+        stop = max(min(rank, end), start)
+        lo = min(-(-start // g) * g, stop)  # first group boundary in [start, stop]
+        hi = max(stop // g * g, lo)  # last one
+        runs = [(a - start, b - start, w, a // g)
+                for a, b, w in ((start, lo, lo - start), (lo, hi, g), (hi, stop, stop - hi))
+                if b > a]
+        yield part, m, used, runs
+
+
 def embed(key: RawImage, cover: RawImage, bits: np.ndarray, mask: np.ndarray,
           block_pixels: int) -> RawImage:
     """Assemble the stego image: group b comes from the cover if bits[b] is
@@ -79,15 +120,18 @@ def embed(key: RawImage, cover: RawImage, bits: np.ndarray, mask: np.ndarray,
     g = block_pixels
     mask = _flat_mask(mask, g, key.pixels.shape)
     bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
-    take = np.zeros(np.count_nonzero(mask), dtype=bool)
-    n_groups = len(take) // g
+    n_groups = int(np.count_nonzero(mask)) // g
     if len(bits) != n_groups:
         raise ValueError(f"bit vector length {len(bits)} != group count {n_groups}")
-    take[:n_groups * g].reshape(n_groups, g)[...] = (bits == 1)[:, None]
-    take_all = np.zeros_like(mask)
-    take_all[mask] = take
     out = key.pixels.copy()
-    np.copyto(out, cover.pixels, where=take_all.reshape(out.shape))
+    flat_out, flat_cover = out.reshape(-1), cover.pixels.reshape(-1)
+    for part, m, used, runs in _slabs(mask, g, n_groups):
+        take = np.zeros(used, dtype=bool)
+        for a, b, w, first in runs:
+            take[a:b].reshape(-1, w)[...] = (bits[first:first + (b - a) // w] == 1)[:, None]
+        where = np.zeros(m.shape, dtype=bool)
+        where[m] = take
+        np.copyto(flat_out[part], flat_cover[part], where=where)
     return RawImage(width=key.width, height=key.height, pixels=out)
 
 
@@ -98,10 +142,17 @@ def extract(stego: RawImage, key: RawImage, mask: np.ndarray,
     _check_dims(stego, key)
     g = block_pixels
     mask = _flat_mask(mask, g, key.pixels.shape)
-    diff = (stego.pixels != key.pixels).reshape(-1)
-    usable = diff[mask]
-    bits = usable[:len(usable) // g * g].reshape(-1, g).any(axis=1).astype(np.uint8)
-    return DecodedBits(bits=bits, raw_mismatch_count=int(np.count_nonzero(diff)))
+    n_groups = int(np.count_nonzero(mask)) // g
+    bits = np.zeros(n_groups, dtype=np.uint8)
+    flat_stego, flat_key = stego.pixels.reshape(-1), key.pixels.reshape(-1)
+    mismatches = 0
+    for part, m, _, runs in _slabs(mask, g, n_groups):
+        diff = flat_stego[part] != flat_key[part]
+        mismatches += int(np.count_nonzero(diff))
+        usable = diff[m]
+        for a, b, w, first in runs:  # a group split over slabs ORs each part in
+            bits[first:first + (b - a) // w] |= usable[a:b].reshape(-1, w).any(axis=1)
+    return DecodedBits(bits=bits, raw_mismatch_count=mismatches)
 
 
 def collision_rate(key: RawImage, cover: RawImage,

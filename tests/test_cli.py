@@ -141,6 +141,26 @@ def test_non_finite_capture_inputs_exit_2(ws, tmp_path, flag, value):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "70000"])
+def test_full_well_out_of_range_exits_2(ws, tmp_path, value):
+    """embed and extract refuse a --full-well outside [1, 65535] with exit 2
+    and write nothing, rather than reading it as a zero capacity (exit 1 or
+    3) or as an ordinary mask (exit 0)."""
+    assert run("capture", "--width", "64", "--height", "64",
+               "--key-out", ws("k.pgm"), "--cover-out", ws("c.pgm")) == 0
+    with open(ws("m.bin"), "wb") as fh:
+        fh.write(b"full well")
+    assert run("embed", "--key", ws("k.pgm"), "--cover", ws("c.pgm"),
+               "--message", ws("m.bin"), "--stego-out", ws("s.pgm")) == 0
+    inputs = sorted(tmp_path.iterdir())
+    assert run("embed", "--key", ws("k.pgm"), "--cover", ws("c.pgm"),
+               "--message", ws("m.bin"), "--stego-out", ws("s2.pgm"),
+               "--full-well", value) == 2
+    assert run("extract", "--stego", ws("s.pgm"), "--key", ws("k.pgm"),
+               "--message-out", ws("out.bin"), "--full-well", value) == 2
+    assert sorted(tmp_path.iterdir()) == inputs
+
+
 def test_message_too_large_exits_1(ws):
     assert run("capture", "--width", "64", "--height", "64",
                "--key-out", ws("k.pgm"), "--cover-out", ws("c.pgm")) == 0

@@ -652,6 +652,14 @@ def test_scatter_rejects_oversized_message():
         scatter(b"12345", perm, 32, 1)
 
 
+def test_gather_rejects_bit_vector_shorter_than_the_slots():
+    """16 bits hold 2 of the 4 slots: reading slot 3 would run off the
+    vector, so the call is refused before any slot is read."""
+    with pytest.raises(CodecError, match="shorter"):
+        gather(np.zeros(16, np.uint8), np.array([3, 2, 1, 0]), 2)
+    assert gather(np.zeros(32, np.uint8), np.array([3, 2, 1, 0]), 2) == b"\x00\x00"
+
+
 def test_filler_bit_balance():
     """Oracle: fair-coin fraction. 2e5 filler bits must land in [0.49, 0.51]
     (null sd of the fraction is ~0.0011)."""

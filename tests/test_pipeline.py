@@ -1,9 +1,10 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from shotstego import codec, imageio, pipeline
+from shotstego import codec, imageio, pipeline, stego
 from shotstego.camera import SensorConfig, capture, capture_pair, make_scene
 from shotstego.codec import CodecError, DecodeError
 
@@ -143,3 +144,41 @@ def test_stego_bytes_pinned(g):
     assert hashlib.sha256(imageio.write_pgm16(res.stego_image)).hexdigest() == PINNED_STEGO[g]
     assert pipeline.extract_message(res.stego_image, key, parity_symbols=32,
                                     block_pixels=g) == payload
+
+
+@pytest.fixture(scope="module")
+def exchange_2048():
+    """The arguments of each exchange call at 2048^2, g=16 and a 16 kB
+    payload at parity 32, on a gradient at mean 1000."""
+    key, cover = capture_pair(make_scene(2048, 2048, "gradient", 1000.0), SensorConfig(seed=5))
+    coded = codec.rs_encode(bytes(range(256)) * 64, 32)
+    mask = stego.default_usable_mask(key, 50000)
+    capacity = stego.capacity_bits(mask, 16)
+    perm = codec.mixing_permutation(capacity // 8, 3)
+    bits = codec.scatter(coded, perm, capacity, 3)
+    stego_img = stego.embed(key, cover, bits, mask, 16)
+    return {
+        "default_usable_mask": lambda: stego.default_usable_mask(key, 50000),
+        "embed": lambda: stego.embed(key, cover, bits, mask, 16).pixels,
+        "extract": lambda: stego.extract(stego_img, key, mask, 16).bits,
+        "scatter": lambda: codec.scatter(coded, perm, capacity, 3),
+        "gather": lambda: codec.gather(bits, perm, capacity // 8),
+    }
+
+
+@pytest.mark.parametrize("call", ["default_usable_mask", "embed", "extract", "scatter", "gather"])
+def test_exchange_memory_stays_bounded(exchange_2048, call):
+    """Each call of a 2048^2 exchange allocates little beyond what it
+    returns: after a warm-up call, the traced peak is at most 2 MB above the
+    returned array (image-sized temporaries put 2.6 to 8.6 MB above it)."""
+    run = exchange_2048[call]
+    run()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = len(out) if isinstance(out, bytes) else out.nbytes
+    assert peak - returned <= 2e6

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shotstego import codec
+from shotstego import codec, stego
 from shotstego.camera import SensorConfig, capture, capture_pair, make_scene
 from shotstego.imageio import RawImage
 from shotstego.stego import (
@@ -181,6 +181,61 @@ def test_grouping_matches_per_group_reference(h, w, g, data):
     differs = (other.pixels != key.pixels).reshape(-1)
     expect_bits = [int(differs[group].any()) for group in groups]
     assert extract(other, key, mask, g).bits.tolist() == expect_bits
+
+
+@pytest.fixture(scope="module")
+def multi_slab_images():
+    """A seeded 2100x1100 key over at least three slabs, with a cover and a
+    third image that differ from it at sparse pixels, and a usable mask
+    whose second slab has no usable pixel and third slab only ten."""
+    h, w, slab = 1100, 2100, stego.SLAB_PIXELS
+    assert h * w > 2 * slab
+    r = np.random.default_rng(2024)
+    key = r.integers(0, 40, (h, w), dtype=np.uint16)
+    cover, other = (key + (r.random((h, w)) < 3e-4) for _ in range(2))
+    flat = r.random(h * w) < 0.7
+    flat[slab:2 * slab] = False
+    flat[2 * slab:3 * slab] = False
+    flat[2 * slab + r.choice(min(slab, h * w - 2 * slab), 10, replace=False)] = True
+    return tuple(RawImage(width=w, height=h, pixels=px) for px in (key, cover, other)) + (
+        flat.reshape(h, w),)
+
+
+@pytest.mark.parametrize("g", [1, 3, 16, 4099])
+def test_grouping_matches_reference_across_slabs(multi_slab_images, g):
+    """Across slab boundaries, embed and extract follow the same rule as on
+    a single slab: bit b owns usable pixels flatnonzero(mask)[b*g:(b+1)*g],
+    and the usable pixels past the last whole group stay the key's."""
+    key, cover, other, mask = multi_slab_images
+    usable = np.flatnonzero(mask)
+    assert g == 1 or len(usable) % g
+    groups = usable[:len(usable) // g * g].reshape(-1, g)
+    bits = codec.keyed_filler_bits(len(groups), g)
+    expect = key.pixels.reshape(-1).copy()
+    chosen = groups[bits == 1].reshape(-1)
+    expect[chosen] = cover.pixels.reshape(-1)[chosen]
+    stego_img = embed(key, cover, bits, mask, g)
+    assert np.array_equal(stego_img.pixels.reshape(-1), expect)
+    for seen in (stego_img, other):
+        differs = (seen.pixels != key.pixels).reshape(-1)
+        decoded = extract(seen, key, mask, g)
+        assert np.array_equal(decoded.bits, differs[groups].any(axis=1))
+        assert decoded.raw_mismatch_count == np.count_nonzero(differs)
+    assert 0 < decoded.bits.sum() < len(groups)
+
+
+@pytest.mark.parametrize("full_well", [1, 17, 30, 65535])
+def test_default_mask_across_slabs(multi_slab_images, full_well):
+    px = multi_slab_images[0].pixels
+    mask = default_usable_mask(multi_slab_images[0], full_well)
+    assert np.array_equal(mask, (px < full_well) & (px >= 16))
+
+
+@pytest.mark.parametrize("full_well", [0, -3, 65536, 70000])
+def test_default_mask_rejects_full_well_out_of_range(full_well):
+    key, _ = small_pair(seed=86, n=16)
+    with pytest.raises(ValueError, match="full_well"):
+        default_usable_mask(key, full_well)
 
 
 def test_collision_rate_identity_and_saturated():
