@@ -11,8 +11,10 @@ Exit codes are a stable scripting contract:
   3  decode failure (uncorrectable data or CRC mismatch; wrong key lands here)
   4  analysis verdict "suspicious" while --fail-on-suspicious is set
 
-Outputs are written atomically (temp file + rename), so no partial
-artifact survives an error. Every run with fixed seeds is byte-reproducible.
+Outputs are written atomically (temp file + rename), and a command that
+writes several removes those already written when a later one fails, so
+no partial artifact survives an error. Every run with fixed seeds is
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import os
 import sys
 
 from . import codec, pipeline, statcheck
-from .camera import SensorConfig, capture, capture_pair, make_scene
+from .camera import DEFAULT_FULL_WELL, SensorConfig, capture, capture_pair, make_scene
 from .codec import CodecError, DecodeError
 from .imageio import PgmFormatError, read_pgm16, write_pgm16, write_report
 from .statcheck import CalibrationError
@@ -50,6 +52,20 @@ def _write_atomic(path: str, data: bytes) -> None:
         raise
 
 
+def _write_all(outputs: list[tuple[str, bytes]]) -> None:
+    """Write each (path, data) atomically; when one write fails, remove the
+    outputs already written, so a command leaves all of them or none."""
+    written = []
+    try:
+        for path, data in outputs:
+            _write_atomic(path, data)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            os.remove(path)
+        raise
+
+
 def _read_file(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
@@ -67,7 +83,7 @@ def _add_scene_flags(p: _Parser) -> None:
 
 
 def _add_sensor_flags(p: _Parser) -> None:
-    p.add_argument("--full-well", type=int, default=50000)
+    p.add_argument("--full-well", type=int, default=DEFAULT_FULL_WELL)
     p.add_argument("--read-noise-sigma", type=float, default=0.0)
     p.add_argument("--exposure-jitter-fraction", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=1)
@@ -89,7 +105,7 @@ def _add_plan_flags(p: _Parser) -> None:
     p.add_argument("--parity-symbols", type=int, default=8)
     p.add_argument("--mixing-seed", type=int, default=1)
     p.add_argument("--block-pixels", type=_int_at_least(1), default=1)
-    p.add_argument("--full-well", type=int, default=50000,
+    p.add_argument("--full-well", type=int, default=DEFAULT_FULL_WELL,
                    help="full well used to derive the usable-pixel mask")
 
 
@@ -158,9 +174,7 @@ def _scene_and_sensor(args):
 
 def _cmd_capture(args) -> int:
     key, cover = capture_pair(*_scene_and_sensor(args))
-    key_bytes, cover_bytes = write_pgm16(key), write_pgm16(cover)
-    _write_atomic(args.key_out, key_bytes)
-    _write_atomic(args.cover_out, cover_bytes)
+    _write_all([(args.key_out, write_pgm16(key)), (args.cover_out, write_pgm16(cover))])
     print(f"wrote {args.key_out} and {args.cover_out} "
           f"({args.width}x{args.height} {args.pattern})")
     return 0
@@ -211,11 +225,9 @@ def _cmd_demo_lsb(args) -> int:
     embedded = statcheck.lsb_embed(img, bits)
     hist_clean = statcheck.histogram(img, args.bin_width)
     hist_lsb = statcheck.histogram(embedded, args.bin_width)
-    _write_atomic(args.out_prefix + ".pgm", write_pgm16(embedded))
-    _write_atomic(args.out_prefix + "-original-hist.csv",
-                  statcheck.histogram_csv(hist_clean))
-    _write_atomic(args.out_prefix + "-lsb-hist.csv",
-                  statcheck.histogram_csv(hist_lsb))
+    _write_all([(args.out_prefix + ".pgm", write_pgm16(embedded)),
+                (args.out_prefix + "-original-hist.csv", statcheck.histogram_csv(hist_clean)),
+                (args.out_prefix + "-lsb-hist.csv", statcheck.histogram_csv(hist_lsb))])
     print(f"wrote {args.out_prefix}.pgm and paired histogram CSVs")
     return 0
 

@@ -45,9 +45,12 @@ class RawImage:
                 f"{self.height}x{self.width}"
             )
         if px.dtype != np.uint16:
-            if px.min() < 0 or px.max() > PGM_MAXVAL:
-                raise ValueError("pixel values outside [0, 65535]")
-            px = px.astype(np.uint16)
+            with np.errstate(invalid="ignore"):  # NaN and inf are refused below
+                converted = px.astype(np.uint16)
+            # a value the cast wraps, truncates or makes up does not survive it
+            if not np.array_equal(converted, px):
+                raise ValueError("pixel values must be integers in [0, 65535]")
+            px = converted
         self.pixels = px
 
     @property
@@ -61,6 +64,13 @@ class RawImage:
             and self.height == other.height
             and np.array_equal(self.pixels, other.pixels)
         )
+
+
+def check_same_dims(a: RawImage, b: RawImage) -> None:
+    """Raise ValueError unless the two images have the same width and
+    height; every statistic or exchange over a pair of images needs this."""
+    if (a.width, a.height) != (b.width, b.height):
+        raise ValueError("image dimensions do not match")
 
 
 def read_pgm16(data: bytes) -> RawImage:

@@ -13,6 +13,11 @@ and a composite verdict: suspicious iff any statistic exceeds its 99th
 percentile under a null distribution calibrated from clean simulated
 captures. No fixed thresholds; the simulator is its own control.
 
+Each statistic has one implementation, a method of the battery's work set
+(`_WorkSet`). The public functions make a work set for one call;
+build_calibration and ward_test make one per call and reuse it for every
+image they judge.
+
 The chi-square test deserves a note. Replacing every least-significant bit
 equalizes the counts of each value pair (2k, 2k+1) while leaving the pair
 totals untouched. A genuine photon-noise histogram is smooth but not
@@ -26,7 +31,6 @@ forced 50/50 splits contradict the prediction and the p-value collapses.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -37,7 +41,7 @@ from scipy.special import chdtrc
 # capture stays imported although the battery draws from captures():
 # the benchmark's self-test checks that its tracer patches this binding
 from .camera import SceneRadiance, SensorConfig, capture, captures  # noqa: F401
-from .imageio import PGM_MAXVAL, RawImage
+from .imageio import PGM_MAXVAL, RawImage, check_same_dims
 
 AUTOCORR_LAGS = 8
 KL_SMOOTHING = 0.5
@@ -50,42 +54,114 @@ class CalibrationError(ValueError):
 
 
 class _WorkSet:
-    """The work arrays of the battery for images of up to `pixel_count`
-    pixels. A call that judges image after image (build_calibration,
-    ward_test) makes one and reuses it, so per image the statistics
-    allocate only the value counts and small arrays, none the size of the
-    image or of the 16-bit value range. Nothing here is shared between
-    calls or outlives the call.
+    """The battery's work arrays for images of up to `pixel_count` pixels,
+    and the statistics as methods that use them. Per image they allocate
+    only the value counts and small arrays, none the size of the image or
+    of the 16-bit value range. Nothing here is shared between calls or
+    outlives the call.
 
     The steps run one after another and each is done with its arrays
-    before the next starts, so they share bytes: `ints` is `scratch` seen
-    as int64.
+    before the next starts, so they share bytes (`ints` is `scratch` seen
+    as int64):
+
+      step                  reals          scratch / ints           flags
+      value_counts          -              widened pixels (ints)    -
+      kl_bits               per-bin terms  -                        populated bins
+      chi2_pvalue           -              value-pair totals (ints) well-populated pairs
+      autocorrelation       centred K - C  lag products             -
+      normalized_deviation  sqrt(K + C)    (K - C) / sqrt(K + C)    K + C >= 16
     """
 
     def __init__(self, pixel_count: int):
         size = max(pixel_count, _NVALUES)
-        self.reals = np.empty(size)  # KL terms; centred K - C; sqrt(K + C)
-        self.scratch = np.empty(size)  # lag products; (K - C) / sqrt(K + C)
-        self.ints = self.scratch.view(np.int64)  # widened pixels; value-pair totals
-        self.flags = np.empty(size, dtype=bool)  # populated bins; well-populated pairs; K + C >= 16
+        self.reals = np.empty(size)
+        self.scratch = np.empty(size)
+        self.ints = self.scratch.view(np.int64)
+        self.flags = np.empty(size, dtype=bool)
 
-    def histogram(self, img: RawImage, bin_width: int) -> Histogram:
-        return _histogram(_value_counts(img, self.ints), img.pixel_count, bin_width)
+    def value_counts(self, img: RawImage) -> np.ndarray:
+        """Counts of every 16-bit value in the image. The pixels are widened
+        into ints, the index array bincount would otherwise allocate."""
+        vals = self.ints[:img.pixel_count]
+        np.copyto(vals, img.pixels.reshape(-1))
+        return np.bincount(vals, minlength=_NVALUES)
 
-    def value_statistics(self, img: RawImage, reference: Histogram) -> tuple[float, float]:
-        """The KL divergence from the reference histogram and the
-        chi-square p-value, both from one count of the image's values."""
-        counts = _value_counts(img, self.ints)
-        hist = _histogram(counts, img.pixel_count, reference.bin_width)
-        kl = _kl_bits(hist, reference, KL_SMOOTHING, self.reals, self.flags)
-        return kl, _chi2_pvalue(counts, img.pixel_count, self.ints, self.flags)
+    def kl_bits(self, p_hist: Histogram, q_hist: Histogram, smoothing: float) -> float:
+        """kl_divergence of two histograms of the same binning."""
+        nbins = len(p_hist.counts)
+        p_norm = p_hist.total + smoothing * nbins
+        q_norm = q_hist.total + smoothing * nbins
+        p_empty, q_empty = smoothing / np.array([p_norm, q_norm], dtype=np.float64)
+        terms = self.reals[:nbins]
+        terms.fill(p_empty * np.log2(p_empty / q_empty))
+        used = np.flatnonzero(np.logical_or(p_hist.counts, q_hist.counts,
+                                            out=self.flags[:nbins]))
+        p = (p_hist.counts[used] + smoothing) / p_norm
+        q = (q_hist.counts[used] + smoothing) / q_norm
+        terms[used] = p * np.log2(p / q)
+        return float(np.sum(terms))
 
-    def pair_statistics(self, key: RawImage, cover: RawImage) -> tuple[np.ndarray, float]:
-        """The autocorrelation and the normalized deviation of one capture
-        pair, in that order, as the public functions compute them."""
-        _check_pair(key, cover)
-        rho = _autocorrelation(key, cover, AUTOCORR_LAGS, self.reals, self.scratch)
-        return rho, _normalized_deviation(key, cover, self.reals, self.scratch, self.flags)
+    def chi2_pvalue(self, counts: np.ndarray, pixel_count: int) -> float:
+        """chi_square_attack from the counts of every 16-bit value."""
+        if pixel_count < 10_000:
+            raise ValueError("chi-square attack needs an image of >= 1e4 pixels")
+        even = counts[0::2]
+        m = np.add(even, counts[1::2], out=self.ints[:len(even)])
+        well = np.greater_equal(m, _CHI2_MIN_PAIR, out=self.flags[:len(m)])
+        # a pair is tested when it and both neighbours are well populated, so
+        # never the first or the last
+        kk = 1 + np.flatnonzero(well[1:-1] & well[:-2] & well[2:])
+        if kk.size == 0:
+            raise ValueError("insufficient samples: no well-populated value pairs")
+        # integer counts are exact in float64; only the selected pairs are converted
+        m_k, m_next, m_prev, even_k = (
+            x.astype(np.float64) for x in (m[kk], m[kk + 1], m[kk - 1], even[kk]))
+        rho = (m_next / m_prev) ** 0.25
+        q = 1.0 / (1.0 + rho)
+        expected = m_k * q
+        var_log_rho = (1.0 / m_next + 1.0 / m_prev) / 16.0
+        var_q = (rho / (1.0 + rho) ** 2) ** 2 * var_log_rho
+        variance = m_k * q * (1.0 - q) + m_k ** 2 * var_q
+        stat = float(np.sum((even_k - expected) ** 2 / variance))
+        return float(chdtrc(kk.size, stat))  # the chi-square survival function
+
+    def autocorrelation(self, key: RawImage, cover: RawImage, max_lag: int) -> np.ndarray:
+        """autocorrelation of a capture pair."""
+        check_same_dims(key, cover)
+        h, w = key.pixels.shape
+        if not (1 <= max_lag < w):
+            raise ValueError("max_lag must be in [1, width)")
+        centred = np.subtract(key.pixels, cover.pixels, out=self.reals[:h * w].reshape(h, w),
+                              dtype=np.float64)
+        centred -= centred.mean()  # K - C is integer-valued: its float64 sum is exact
+        # every product goes to one buffer, as a C-contiguous view, which
+        # np.mean sums in the same order as a newly allocated product
+        var = np.mean(np.multiply(centred, centred, out=self.scratch[:h * w].reshape(h, w)))
+        if var == 0:
+            raise ValueError("difference image is constant; identical captures?")
+        rho = np.empty(max_lag, dtype=np.float64)
+        for lag in range(1, max_lag + 1):
+            lagged = self.scratch[:h * (w - lag)].reshape(h, w - lag)
+            np.multiply(centred[:, :-lag], centred[:, lag:], out=lagged)
+            rho[lag - 1] = np.mean(lagged) / var
+        return rho
+
+    def normalized_deviation(self, key: RawImage, cover: RawImage) -> float:
+        """normalized_deviation of a capture pair."""
+        check_same_dims(key, cover)
+        n = key.pixel_count
+        s = np.add(key.pixels.reshape(-1), cover.pixels.reshape(-1), out=self.reals[:n],
+                   dtype=np.float64)
+        ok = np.greater_equal(s, 16, out=self.flags[:n])
+        if not ok.any():
+            raise ValueError("no pixels with K + C >= 16")
+        np.sqrt(s, out=s)
+        r = np.subtract(key.pixels.reshape(-1), cover.pixels.reshape(-1), out=self.scratch[:n],
+                        dtype=np.float64)
+        with np.errstate(divide="ignore", invalid="ignore"):  # K + C = 0 is dropped
+            r /= s
+        r = r[ok]
+        return float(np.sqrt(np.mean(np.square(r, out=r))))
 
 
 # ---------------------------------------------------------------------------
@@ -98,66 +174,29 @@ class Histogram:
     whole 16-bit range, so any two histograms with equal bin_width share
     identical binning."""
 
-    bin_edges: np.ndarray
+    bin_width: int
     counts: np.ndarray
     total: int
 
     @property
-    def bin_width(self) -> int:
-        return int(self.bin_edges[1] - self.bin_edges[0])
+    def bin_edges(self) -> np.ndarray:
+        return np.arange(len(self.counts) + 1, dtype=np.int64) * self.bin_width
 
 
-@functools.lru_cache(maxsize=16)
-def _bin_edges(bin_width: int) -> np.ndarray:
-    """The read-only edges of the bins of bin_width covering the 16-bit
-    range, one array per width, shared by every histogram of that width."""
-    nbins = -(-_NVALUES // bin_width)
-    edges = np.arange(nbins + 1, dtype=np.int64) * bin_width
-    edges.flags.writeable = False
-    return edges
-
-
-def _value_counts(img: RawImage, ints: np.ndarray) -> np.ndarray:
-    """Counts of every 16-bit value in the image. The pixels are widened
-    into ints (int64, at least the pixel count), the index array bincount
-    would otherwise allocate."""
-    vals = ints[:img.pixel_count]
-    np.copyto(vals, img.pixels.reshape(-1))
-    return np.bincount(vals, minlength=_NVALUES)
-
-
-def _histogram(counts: np.ndarray, total: int, bin_width: int) -> Histogram:
+def _binned(counts: np.ndarray, total: int, bin_width: int) -> Histogram:
     """The histogram of bin_width from the counts of every 16-bit value;
     a bin's count is the exact integer sum of its values' counts."""
-    edges = _bin_edges(bin_width)
     if bin_width > 1:
-        counts = np.add.reduceat(counts, edges[:-1])
-    return Histogram(bin_edges=edges, counts=counts, total=total)
+        counts = np.add.reduceat(counts, np.arange(0, _NVALUES, bin_width))
+    return Histogram(bin_width=bin_width, counts=counts, total=total)
 
 
 def histogram(img: RawImage, bin_width: int = 1) -> Histogram:
     """Histogram of the image's pixel values; bins of bin_width counts."""
     if bin_width < 1:
         raise ValueError("bin_width must be >= 1")
-    counts = _value_counts(img, np.empty(img.pixel_count, dtype=np.int64))
-    return _histogram(counts, img.pixel_count, bin_width)
-
-
-def _kl_bits(p_hist: Histogram, q_hist: Histogram, smoothing: float,
-             terms: np.ndarray, populated: np.ndarray) -> float:
-    """kl_divergence with its per-bin terms and populated-bin flags in the
-    work arrays terms (float64) and populated (bool), each >= nbins long."""
-    nbins = len(p_hist.counts)
-    p_norm = p_hist.total + smoothing * nbins
-    q_norm = q_hist.total + smoothing * nbins
-    p_empty, q_empty = smoothing / np.array([p_norm, q_norm], dtype=np.float64)
-    terms = terms[:nbins]
-    terms.fill(p_empty * np.log2(p_empty / q_empty))
-    used = np.flatnonzero(np.logical_or(p_hist.counts, q_hist.counts, out=populated[:nbins]))
-    p = (p_hist.counts[used] + smoothing) / p_norm
-    q = (q_hist.counts[used] + smoothing) / q_norm
-    terms[used] = p * np.log2(p / q)
-    return float(np.sum(terms))
+    counts = _WorkSet(img.pixel_count).value_counts(img)
+    return _binned(counts, img.pixel_count, bin_width)
 
 
 def kl_divergence(p_hist: Histogram, q_hist: Histogram,
@@ -173,19 +212,18 @@ def kl_divergence(p_hist: Histogram, q_hist: Histogram,
     """
     if smoothing <= 0:
         raise ValueError("smoothing must be > 0")
-    if p_hist.bin_edges is not q_hist.bin_edges \
-            and not np.array_equal(p_hist.bin_edges, q_hist.bin_edges):
-        raise ValueError("histograms use different binning")
     nbins = len(p_hist.counts)
-    return _kl_bits(p_hist, q_hist, smoothing, np.empty(nbins), np.empty(nbins, dtype=bool))
+    if p_hist.bin_width != q_hist.bin_width or nbins != len(q_hist.counts):
+        raise ValueError("histograms use different binning")
+    return _WorkSet(nbins).kl_bits(p_hist, q_hist, smoothing)
 
 
 def histogram_csv(hist: Histogram) -> bytes:
     """CSV dump (bin_low, bin_high, count), populated bins only."""
     lines = ["bin_low,bin_high,count"]
-    nz = np.flatnonzero(hist.counts)
-    for i in nz:
-        lines.append(f"{hist.bin_edges[i]},{hist.bin_edges[i + 1]},{hist.counts[i]}")
+    edges = hist.bin_edges
+    for i in np.flatnonzero(hist.counts):
+        lines.append(f"{edges[i]},{edges[i + 1]},{hist.counts[i]}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -206,106 +244,21 @@ def lsb_embed(img: RawImage, bits: np.ndarray) -> RawImage:
 
 
 # ---------------------------------------------------------------------------
-# Pair statistics: autocorrelation and normalized deviation
+# Pair statistics and the chi-square pairs-of-values attack
 # ---------------------------------------------------------------------------
-
-def _check_pair(key: RawImage, cover: RawImage) -> None:
-    if (key.width, key.height) != (cover.width, cover.height):
-        raise ValueError("image dimensions do not match")
-
-
-def _autocorrelation(key: RawImage, cover: RawImage, max_lag: int,
-                     centred: np.ndarray, prod: np.ndarray) -> np.ndarray:
-    """autocorrelation, with the centred difference and the lag products
-    in the float64 work arrays centred and prod (each >= the pixel count)."""
-    h, w = key.pixels.shape
-    if not (1 <= max_lag < w):
-        raise ValueError("max_lag must be in [1, width)")
-    centred = np.subtract(key.pixels, cover.pixels, out=centred[:h * w].reshape(h, w),
-                          dtype=np.float64)
-    centred -= centred.mean()  # K - C is integer-valued: its float64 sum is exact
-    # every product goes to one buffer, as a C-contiguous view, which
-    # np.mean sums in the same order as a newly allocated product
-    var = np.mean(np.multiply(centred, centred, out=prod[:h * w].reshape(h, w)))
-    if var == 0:
-        raise ValueError("difference image is constant; identical captures?")
-    rho = np.empty(max_lag, dtype=np.float64)
-    for lag in range(1, max_lag + 1):
-        lagged = prod[:h * (w - lag)].reshape(h, w - lag)
-        np.multiply(centred[:, :-lag], centred[:, lag:], out=lagged)
-        rho[lag - 1] = np.mean(lagged) / var
-    return rho
-
-
-def _normalized_deviation(key: RawImage, cover: RawImage, root: np.ndarray,
-                          ratios: np.ndarray, lit: np.ndarray) -> float:
-    """normalized_deviation, with sqrt(K + C) and (K - C) / sqrt(K + C) in
-    the float64 work arrays root and ratios and the mask K + C >= 16 in
-    the bool work array lit (each >= the pixel count)."""
-    n = key.pixel_count
-    s = np.add(key.pixels.reshape(-1), cover.pixels.reshape(-1), out=root[:n],
-               dtype=np.float64)
-    ok = np.greater_equal(s, 16, out=lit[:n])
-    if not ok.any():
-        raise ValueError("no pixels with K + C >= 16")
-    np.sqrt(s, out=s)
-    r = np.subtract(key.pixels.reshape(-1), cover.pixels.reshape(-1), out=ratios[:n],
-                    dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):  # K + C = 0 is dropped
-        r /= s
-    r = r[ok]
-    return float(np.sqrt(np.mean(np.square(r, out=r))))
-
 
 def autocorrelation(key: RawImage, cover: RawImage, max_lag: int = AUTOCORR_LAGS) -> np.ndarray:
     """Normalized autocovariance of the capture difference at horizontal
     lags 1..max_lag, rows pooled. Subtracting the two captures cancels the
     static scene, leaving pure noise whose correlation should vanish."""
-    _check_pair(key, cover)
-    n = key.pixel_count
-    return _autocorrelation(key, cover, max_lag, np.empty(n), np.empty(n))
+    return _WorkSet(key.pixel_count).autocorrelation(key, cover, max_lag)
 
 
 def normalized_deviation(key: RawImage, cover: RawImage) -> float:
     """Root mean square of (K - C) / sqrt(K + C) over pixels with
     K + C >= 16. Pure shot noise gives exactly 1 in expectation; identical
     captures give 0; exposure drift pushes it above 1."""
-    _check_pair(key, cover)
-    n = key.pixel_count
-    return _normalized_deviation(key, cover, np.empty(n), np.empty(n), np.empty(n, dtype=bool))
-
-
-# ---------------------------------------------------------------------------
-# Chi-square pairs-of-values attack
-# ---------------------------------------------------------------------------
-
-def _chi2_pvalue(counts: np.ndarray, pixel_count: int,
-                 sums: np.ndarray, well: np.ndarray) -> float:
-    """chi_square_attack from the counts of every 16-bit value, with the
-    value-pair totals in the int64 work array sums and the mask of
-    well-populated pairs in the bool work array well (each >= half the
-    number of counts)."""
-    if pixel_count < 10_000:
-        raise ValueError("chi-square attack needs an image of >= 1e4 pixels")
-    even = counts[0::2]
-    m = np.add(even, counts[1::2], out=sums[:len(even)])
-    well = np.greater_equal(m, _CHI2_MIN_PAIR, out=well[:len(m)])
-    # a pair is tested when it and both neighbours are well populated, so
-    # never the first or the last
-    kk = 1 + np.flatnonzero(well[1:-1] & well[:-2] & well[2:])
-    if kk.size == 0:
-        raise ValueError("insufficient samples: no well-populated value pairs")
-    # integer counts are exact in float64; only the selected pairs are converted
-    m_k, m_next, m_prev, even_k = (
-        x.astype(np.float64) for x in (m[kk], m[kk + 1], m[kk - 1], even[kk]))
-    rho = (m_next / m_prev) ** 0.25
-    q = 1.0 / (1.0 + rho)
-    expected = m_k * q
-    var_log_rho = (1.0 / m_next + 1.0 / m_prev) / 16.0
-    var_q = (rho / (1.0 + rho) ** 2) ** 2 * var_log_rho
-    variance = m_k * q * (1.0 - q) + m_k ** 2 * var_q
-    stat = float(np.sum((even_k - expected) ** 2 / variance))
-    return float(chdtrc(kk.size, stat))  # the chi-square survival function
+    return _WorkSet(key.pixel_count).normalized_deviation(key, cover)
 
 
 def chi_square_attack(img: RawImage) -> float:
@@ -320,10 +273,8 @@ def chi_square_attack(img: RawImage) -> float:
     null. Small p-value: the splits are too balanced for a genuine smooth
     histogram, the signature of full LSB embedding.
     """
-    counts = _value_counts(img, np.empty(img.pixel_count, dtype=np.int64))
-    half = len(counts) // 2
-    return _chi2_pvalue(counts, img.pixel_count, np.empty(half, dtype=np.int64),
-                        np.empty(half, dtype=bool))
+    work = _WorkSet(img.pixel_count)
+    return work.chi2_pvalue(work.value_counts(img), img.pixel_count)
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +305,14 @@ class Calibration:
     n_runs: int
     bin_width: int
     reference_counts: np.ndarray
-    reference_total: int
     kl_null: np.ndarray
     chi2_logp_null: np.ndarray
     autocorr_max_null: np.ndarray
     normdev_dev_null: np.ndarray
 
     def reference_hist(self) -> Histogram:
-        return Histogram(bin_edges=_bin_edges(self.bin_width),
-                         counts=self.reference_counts, total=self.reference_total)
+        return Histogram(bin_width=self.bin_width, counts=self.reference_counts,
+                         total=int(self.reference_counts.sum()))
 
     def threshold(self, name: str) -> float:
         null = {
@@ -390,24 +340,26 @@ def build_calibration(scene: SceneRadiance, sensor: SensorConfig,
     """
     if runs < 2:
         raise CalibrationError("calibration needs at least 2 runs")
-    work = _WorkSet(scene.width * scene.height)
+    n = scene.width * scene.height
+    work = _WorkSet(n)
     shots = captures(scene, sensor, range(runs + 1))
     prev = next(shots)
-    ref = work.histogram(prev, bin_width)
+    ref = _binned(work.value_counts(prev), n, bin_width)
     kl_null, chi2_null, ac_null, nd_null = [], [], [], []
     for i, im in enumerate(shots, start=1):
-        kl, chi2_p = work.value_statistics(im, ref)
-        kl_null.append(kl)
-        chi2_null.append(_chi2_logp(chi2_p))
+        counts = work.value_counts(im)
+        kl_null.append(work.kl_bits(_binned(counts, n, bin_width), ref, KL_SMOOTHING))
+        chi2_null.append(_chi2_logp(work.chi2_pvalue(counts, n)))
+        del counts  # not held through the pair statistics or the next count
         if i % 2 == 0:
-            rho, nd = work.pair_statistics(prev, im)
+            rho = work.autocorrelation(prev, im, AUTOCORR_LAGS)
             ac_null.append(float(np.max(np.abs(rho))))
-            nd_null.append(abs(nd - 1.0))
+            nd_null.append(abs(work.normalized_deviation(prev, im) - 1.0))
         prev = im
     desc = f"{scene.width}x{scene.height} mean_lambda={scene.lam.mean():.6g}"
     return Calibration(
         scene_desc=desc, n_runs=runs, bin_width=bin_width,
-        reference_counts=ref.counts, reference_total=ref.total,
+        reference_counts=ref.counts,
         kl_null=np.array(kl_null), chi2_logp_null=np.array(chi2_null),
         autocorr_max_null=np.array(ac_null), normdev_dev_null=np.array(nd_null),
     )
@@ -428,8 +380,12 @@ def ward_test(img: RawImage, calibration: Optional[Calibration],
         raise CalibrationError(
             f"calibration built from {calibration.n_runs} runs; need >= 100"
         )
-    work = _WorkSet(img.pixel_count)
-    kl, chi2_p = work.value_statistics(img, calibration.reference_hist())
+    n = img.pixel_count
+    work = _WorkSet(n)
+    counts = work.value_counts(img)
+    kl = work.kl_bits(_binned(counts, n, calibration.bin_width), calibration.reference_hist(),
+                      KL_SMOOTHING)
+    chi2_p = work.chi2_pvalue(counts, n)
     sizes = {"kl": img.pixel_count, "chi2": img.pixel_count}
     exceed = [
         kl > calibration.threshold("kl"),
@@ -438,7 +394,8 @@ def ward_test(img: RawImage, calibration: Optional[Calibration],
     ac: tuple = ()
     nd = math.nan
     if reference is not None:
-        rho, nd = work.pair_statistics(img, reference)
+        rho = work.autocorrelation(img, reference, AUTOCORR_LAGS)
+        nd = work.normalized_deviation(img, reference)
         ac = tuple(float(v) for v in rho)
         sizes["autocorr"] = img.pixel_count
         sizes["norm_dev"] = img.pixel_count
@@ -496,7 +453,7 @@ def read_calibration(data: bytes) -> Calibration:
     CalibrationError. The KL and chi-square nulls hold one value per run,
     the pair-statistic nulls one per run pair (see build_calibration); the
     reference counts are non-negative, list each bin once and sum to
-    reference_total."""
+    reference_total; each field is given once."""
     try:
         lines = data.decode("utf-8").splitlines()
         if not lines or lines[0] != "shotstego-calibration v1":
@@ -505,6 +462,8 @@ def read_calibration(data: bytes) -> Calibration:
         for line in lines[1:]:
             if line.strip():
                 key, _, rest = line.partition(" ")
+                if key in fields:
+                    raise CalibrationError(f"calibration field {key} is listed twice")
                 fields[key] = rest
         runs = int(fields["runs"])
         bin_width = int(fields["bin_width"])
@@ -512,7 +471,7 @@ def read_calibration(data: bytes) -> Calibration:
             raise CalibrationError(f"calibration bin_width {bin_width} is below 1")
         nbins = -(-_NVALUES // bin_width)
         counts = np.zeros(nbins, dtype=np.int64)
-        listed = 0
+        listed, seen = 0, set()
         for item in fields["reference_counts"].split():
             i, _, v = item.partition(":")
             i, v = int(i), int(v)
@@ -521,8 +480,9 @@ def read_calibration(data: bytes) -> Calibration:
                     f"reference_counts index {i} is outside [0, {nbins})")
             if v < 0:
                 raise CalibrationError(f"reference_counts bin {i} holds a negative count")
-            if counts[i]:
+            if i in seen:
                 raise CalibrationError(f"reference_counts bin {i} is listed twice")
+            seen.add(i)
             counts[i] = v
             listed += v
         total = int(fields["reference_total"])
@@ -534,7 +494,6 @@ def read_calibration(data: bytes) -> Calibration:
             n_runs=runs,
             bin_width=bin_width,
             reference_counts=counts,
-            reference_total=total,
             kl_null=_parse_null(fields, "kl_null", runs),
             chi2_logp_null=_parse_null(fields, "chi2_logp_null", runs),
             autocorr_max_null=_parse_null(fields, "autocorr_max_null", runs // 2),

@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaln
 
-from .imageio import RawImage
+from .imageio import RawImage, check_same_dims
 
 DARK_FLOOR = 16  # counts below this carry mostly electronic noise
 SLAB_PIXELS = 1 << 18  # pixels per slab: 256 kB of bool temporaries each
@@ -82,11 +82,6 @@ def capacity_bits(mask: np.ndarray, block_pixels: int) -> int:
     return int(np.count_nonzero(_flat_mask(mask, block_pixels, np.shape(mask)))) // block_pixels
 
 
-def _check_dims(a: RawImage, b: RawImage) -> None:
-    if (a.width, a.height) != (b.width, b.height):
-        raise ValueError("image dimensions do not match")
-
-
 def _slabs(mask: np.ndarray, g: int, n_groups: int):
     """Walk the flat mask in slabs of SLAB_PIXELS pixels, carrying the rank
     of the slab's first usable pixel. Yields the slab's pixel slice, its
@@ -116,7 +111,7 @@ def embed(key: RawImage, cover: RawImage, bits: np.ndarray, mask: np.ndarray,
           block_pixels: int) -> RawImage:
     """Assemble the stego image: group b comes from the cover if bits[b] is
     1, from the key otherwise; everything outside the groups is the key."""
-    _check_dims(key, cover)
+    check_same_dims(key, cover)
     g = block_pixels
     mask = _flat_mask(mask, g, key.pixels.shape)
     bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
@@ -139,7 +134,7 @@ def extract(stego: RawImage, key: RawImage, mask: np.ndarray,
             block_pixels: int) -> DecodedBits:
     """Recover bits by comparison: a group decodes to 1 iff any of its
     pixels differs from the key."""
-    _check_dims(stego, key)
+    check_same_dims(stego, key)
     g = block_pixels
     mask = _flat_mask(mask, g, key.pixels.shape)
     n_groups = int(np.count_nonzero(mask)) // g
@@ -158,7 +153,7 @@ def extract(stego: RawImage, key: RawImage, mask: np.ndarray,
 def collision_rate(key: RawImage, cover: RawImage,
                    mask: Optional[np.ndarray] = None) -> float:
     """Fraction of (usable) pixels where the two captures agree exactly."""
-    _check_dims(key, cover)
+    check_same_dims(key, cover)
     same = key.pixels == cover.pixels
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)

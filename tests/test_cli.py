@@ -99,7 +99,13 @@ def test_io_errors_exit_2(ws):
 def test_failed_write_leaves_no_temp_file(ws, tmp_path):
     """The output path is an existing directory: the final rename fails,
     the command exits 2, and the complete stego image written to the temp
-    file is removed with it."""
+    file is removed with it. A capture whose cover cannot be written leaves
+    no key image either."""
+    os.mkdir(ws("d.pgm"))
+    assert run("capture", "--width", "128", "--height", "128",
+               "--key-out", ws("k.pgm"), "--cover-out", ws("d.pgm")) == 2
+    assert not os.path.exists(ws("k.pgm"))
+    assert list(tmp_path.glob("*.tmp")) == []
     assert run("capture", "--width", "128", "--height", "128",
                "--key-out", ws("k.pgm"), "--cover-out", ws("c.pgm")) == 0
     with open(ws("m.bin"), "wb") as fh:

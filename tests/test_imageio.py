@@ -69,6 +69,10 @@ def test_pixel_invariants():
         RawImage(width=2, height=2, pixels=np.zeros((2, 3), dtype=np.uint16))
     with pytest.raises(ValueError):
         RawImage(width=1, height=1, pixels=np.array([[70000]]))
+    with pytest.raises(ValueError):  # the cast would give 0
+        RawImage(width=2, height=1, pixels=np.array([[np.nan, 1.0]]))
+    with pytest.raises(ValueError):  # the cast would give 1
+        RawImage(width=2, height=1, pixels=np.array([[0.0, 1.7]]))
 
 
 def make_report(**over):

@@ -23,7 +23,7 @@ VALID_PGM = b"P5\n3 2\n65535\n" + bytes(range(12))
 VALID_CALIBRATION = write_calibration(Calibration(
     scene_desc="8x8 mean_lambda=100", n_runs=4, bin_width=1,
     reference_counts=np.bincount([99, 100, 100, 101], minlength=65536),
-    reference_total=4, kl_null=np.array([0.1, 0.2, 0.3, 0.4]),
+    kl_null=np.array([0.1, 0.2, 0.3, 0.4]),
     chi2_logp_null=np.array([1.0, 2.0, 0.5, 0.7]),
     autocorr_max_null=np.array([0.01, 0.02]),
     normdev_dev_null=np.array([0.03, 0.04])))
@@ -78,7 +78,8 @@ def test_read_calibration_returns_valid_calibration_or_raises(data):
     assert cal.bin_width >= 1
     assert len(cal.reference_counts) == -(-65536 // cal.bin_width)
     assert (cal.reference_counts >= 0).all()
-    assert int(cal.reference_counts.sum()) == cal.reference_total
+    fields = dict(line.partition(" ")[::2] for line in data.decode().splitlines())
+    assert int(fields["reference_total"]) == int(cal.reference_counts.sum())
     for null, size in ((cal.kl_null, cal.n_runs), (cal.chi2_logp_null, cal.n_runs),
                        (cal.autocorr_max_null, cal.n_runs // 2),
                        (cal.normdev_dev_null, cal.n_runs // 2)):
