@@ -16,7 +16,14 @@ captures. No fixed thresholds; the simulator is its own control.
 Each statistic has one implementation, a method of the battery's work set
 (`_WorkSet`). The public functions make a work set for one call;
 build_calibration and ward_test make one per call and reuse it for every
-image they judge.
+image they judge. The work set walks the images in slabs of at most
+2^16 pixels, so no work array grows with the image.
+
+The two pair statistics come from one walk over the pair, as exact integer
+sums: every term is an integer below 2^32 and no slab adds more than 2^20
+of them, so every partial sum is an integer below 2^52, exact in float64
+in any order. Each statistic is then rounded once, from Python integers,
+and depends neither on the image size nor on the order of evaluation.
 
 The chi-square test deserves a note. Replacing every least-significant bit
 equalizes the counts of each value pair (2k, 2k+1) while leaving the pair
@@ -47,44 +54,126 @@ AUTOCORR_LAGS = 8
 KL_SMOOTHING = 0.5
 _CHI2_MIN_PAIR = 32
 _NVALUES = PGM_MAXVAL + 1
+# pixels per slab of the battery's walks; at most 2^19, so that a slab with
+# its context columns holds at most 2^20 terms
+_SLAB = 1 << 16
 
 
 class CalibrationError(ValueError):
     """Missing or undersized calibration data."""
 
 
+def _slabs(height: int, width: int):
+    """The image cut into slabs of at most _SLAB pixels, as (rows, columns)
+    slice pairs: runs of whole rows, or column chunks of one row when a row
+    is wider than _SLAB."""
+    if width <= _SLAB:
+        step = _SLAB // width
+        for r0 in range(0, height, step):
+            yield slice(r0, min(r0 + step, height)), slice(0, width)
+    else:
+        for r in range(height):
+            for c0 in range(0, width, _SLAB):
+                yield slice(r, r + 1), slice(c0, min(c0 + _SLAB, width))
+
+
+class _PairSums:
+    """Exact integer sums of a capture pair's difference d = K - C, from
+    which both pair statistics follow with one rounding each: s1 = sum of d,
+    each lag's product sum, the sums of d over the first and the last
+    max_lag columns, the sum of d^2 for each value of K + C and the count
+    of pixels with K + C < 16."""
+
+    def __init__(self, height: int, width: int, max_lag: int):
+        self.height, self.width, self.max_lag = height, width, max_lag
+        self.s1 = 0
+        self.lags = [0] * max_lag
+        self.head = np.zeros(max_lag, dtype=np.int64)
+        self.tail = np.zeros(max_lag, dtype=np.int64)
+        self.squares = np.zeros(0, dtype=np.int64)
+        self.dark = 0
+
+    @property
+    def bright(self) -> int:
+        """The pixels with K + C >= 16, which the normalized deviation uses."""
+        return self.height * self.width - self.dark
+
+    def add_squares(self, part: np.ndarray) -> None:
+        """Add one slab's sums of d^2 per value of K + C."""
+        part = part.astype(np.int64)
+        if len(part) > len(self.squares):
+            part[:len(self.squares)] += self.squares
+            self.squares = part
+        else:
+            self.squares[:len(part)] += part
+
+    def autocorrelation(self) -> np.ndarray:
+        """rho_j = (n^2 L_j - n s1 (H_j + T_j) + n_j s1^2) / (n_j (n s2 - s1^2)),
+        where n_j = h (w - j) and H_j, T_j are the sums of d over the lag's
+        first and second factors: one correctly rounded int division."""
+        h, w, m, s1 = self.height, self.width, self.max_lag, self.s1
+        n = h * w
+        var = n * int(self.squares.sum()) - s1 * s1
+        if var == 0:
+            raise ValueError("difference image is constant; identical captures?")
+        rho = np.empty(m, dtype=np.float64)
+        for j in range(1, m + 1):
+            n_j = h * (w - j)
+            h_plus_t = 2 * s1 - int(self.tail[m - j:].sum()) - int(self.head[:j].sum())
+            rho[j - 1] = (n * n * self.lags[j - 1] - n * s1 * h_plus_t + n_j * s1 * s1) \
+                / (n_j * var)
+        return rho
+
+    def normalized_deviation(self) -> float:
+        """sqrt(fsum over s >= 16 of float(D2_s) / s, divided by the pixels
+        with K + C >= 16), D2_s being the sum of d^2 where K + C = s."""
+        if self.bright == 0:
+            raise ValueError("no pixels with K + C >= 16")
+        q = self.squares[16:] / np.arange(16, max(len(self.squares), 16))
+        return math.sqrt(math.fsum(q.tolist()) / self.bright)
+
+
 class _WorkSet:
-    """The battery's work arrays for images of up to `pixel_count` pixels,
-    and the statistics as methods that use them. Per image they allocate
-    only the value counts and small arrays, none the size of the image or
-    of the 16-bit value range. Nothing here is shared between calls or
-    outlives the call.
+    """The battery's work arrays and the statistics as methods that use
+    them. The arrays are held by name and made on first use; none is larger
+    than a slab of _SLAB pixels with max_lag columns of context per row, or
+    the 16-bit value range. Each step is done with its arrays before the
+    next starts. Nothing here is shared between calls or outlives the call.
 
-    The steps run one after another and each is done with its arrays
-    before the next starts, so they share bytes (`ints` is `scratch` seen
-    as int64):
-
-      step                  reals          scratch / ints           flags
-      value_counts          -              widened pixels (ints)    -
-      kl_bits               per-bin terms  -                        populated bins
-      chi2_pvalue           -              value-pair totals (ints) well-populated pairs
-      autocorrelation       centred K - C  lag products             -
-      normalized_deviation  sqrt(K + C)    (K - C) / sqrt(K + C)    K + C >= 16
+    Exactness rule of the pair walk: d = K - C is an integer below 2^16 in
+    magnitude, so d and each product of two differences are integers below
+    2^32, and each dot, sum or weighted bincount over a slab adds fewer
+    than 2 * _SLAB <= 2^20 of them. Its result is an integer below 2^52,
+    exact in float64 whatever the order; the slab results are added as
+    Python ints, or as int64 for the per-(K + C) sums of d^2 (exact below
+    2^31 pixels).
     """
 
-    def __init__(self, pixel_count: int):
-        size = max(pixel_count, _NVALUES)
-        self.reals = np.empty(size)
-        self.scratch = np.empty(size)
-        self.ints = self.scratch.view(np.int64)
-        self.flags = np.empty(size, dtype=bool)
+    def __init__(self):
+        self._arrays: dict = {}
+
+    def _array(self, name: str, size: int, dtype) -> np.ndarray:
+        """The first `size` elements of the held array `name`."""
+        arr = self._arrays.get(name)
+        if arr is None or arr.size < size:
+            arr = self._arrays[name] = np.empty(size, dtype=dtype)
+        return arr[:size]
 
     def value_counts(self, img: RawImage) -> np.ndarray:
-        """Counts of every 16-bit value in the image. The pixels are widened
-        into ints, the index array bincount would otherwise allocate."""
-        vals = self.ints[:img.pixel_count]
-        np.copyto(vals, img.pixels.reshape(-1))
-        return np.bincount(vals, minlength=_NVALUES)
+        """Counts of every 16-bit value in the image, one bincount per slab.
+        Each slab's pixels are widened into ints, the index array bincount
+        would otherwise allocate."""
+        counts = None
+        for rows, cols in _slabs(img.height, img.width):
+            block = img.pixels[rows, cols]
+            vals = self._array("ints", block.size, np.int64)
+            np.copyto(vals.reshape(block.shape), block)
+            part = np.bincount(vals, minlength=_NVALUES)
+            if counts is None:
+                counts = part
+            else:
+                counts += part
+        return counts
 
     def kl_bits(self, p_hist: Histogram, q_hist: Histogram, smoothing: float) -> float:
         """kl_divergence of two histograms of the same binning."""
@@ -92,10 +181,10 @@ class _WorkSet:
         p_norm = p_hist.total + smoothing * nbins
         q_norm = q_hist.total + smoothing * nbins
         p_empty, q_empty = smoothing / np.array([p_norm, q_norm], dtype=np.float64)
-        terms = self.reals[:nbins]
+        terms = self._array("reals", nbins, np.float64)
         terms.fill(p_empty * np.log2(p_empty / q_empty))
         used = np.flatnonzero(np.logical_or(p_hist.counts, q_hist.counts,
-                                            out=self.flags[:nbins]))
+                                            out=self._array("flags", nbins, bool)))
         p = (p_hist.counts[used] + smoothing) / p_norm
         q = (q_hist.counts[used] + smoothing) / q_norm
         terms[used] = p * np.log2(p / q)
@@ -106,8 +195,8 @@ class _WorkSet:
         if pixel_count < 10_000:
             raise ValueError("chi-square attack needs an image of >= 1e4 pixels")
         even = counts[0::2]
-        m = np.add(even, counts[1::2], out=self.ints[:len(even)])
-        well = np.greater_equal(m, _CHI2_MIN_PAIR, out=self.flags[:len(m)])
+        m = np.add(even, counts[1::2], out=self._array("ints", len(even), np.int64))
+        well = np.greater_equal(m, _CHI2_MIN_PAIR, out=self._array("flags", len(m), bool))
         # a pair is tested when it and both neighbours are well populated, so
         # never the first or the last
         kk = 1 + np.flatnonzero(well[1:-1] & well[:-2] & well[2:])
@@ -125,43 +214,53 @@ class _WorkSet:
         stat = float(np.sum((even_k - expected) ** 2 / variance))
         return float(chdtrc(kk.size, stat))  # the chi-square survival function
 
-    def autocorrelation(self, key: RawImage, cover: RawImage, max_lag: int) -> np.ndarray:
-        """autocorrelation of a capture pair."""
+    def pair_sums(self, key: RawImage, cover: RawImage, max_lag: Optional[int]) -> _PairSums:
+        """The sums of both pair statistics in one walk over the pair; with
+        max_lag None, only those of the normalized deviation."""
         check_same_dims(key, cover)
         h, w = key.pixels.shape
-        if not (1 <= max_lag < w):
+        if max_lag is not None and not (1 <= max_lag < w):
             raise ValueError("max_lag must be in [1, width)")
-        centred = np.subtract(key.pixels, cover.pixels, out=self.reals[:h * w].reshape(h, w),
-                              dtype=np.float64)
-        centred -= centred.mean()  # K - C is integer-valued: its float64 sum is exact
-        # every product goes to one buffer, as a C-contiguous view, which
-        # np.mean sums in the same order as a newly allocated product
-        var = np.mean(np.multiply(centred, centred, out=self.scratch[:h * w].reshape(h, w)))
-        if var == 0:
-            raise ValueError("difference image is constant; identical captures?")
-        rho = np.empty(max_lag, dtype=np.float64)
-        for lag in range(1, max_lag + 1):
-            lagged = self.scratch[:h * (w - lag)].reshape(h, w - lag)
-            np.multiply(centred[:, :-lag], centred[:, lag:], out=lagged)
-            rho[lag - 1] = np.mean(lagged) / var
-        return rho
-
-    def normalized_deviation(self, key: RawImage, cover: RawImage) -> float:
-        """normalized_deviation of a capture pair."""
-        check_same_dims(key, cover)
-        n = key.pixel_count
-        s = np.add(key.pixels.reshape(-1), cover.pixels.reshape(-1), out=self.reals[:n],
-                   dtype=np.float64)
-        ok = np.greater_equal(s, 16, out=self.flags[:n])
-        if not ok.any():
-            raise ValueError("no pixels with K + C >= 16")
-        np.sqrt(s, out=s)
-        r = np.subtract(key.pixels.reshape(-1), cover.pixels.reshape(-1), out=self.scratch[:n],
-                        dtype=np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):  # K + C = 0 is dropped
-            r /= s
-        r = r[ok]
-        return float(np.sqrt(np.mean(np.square(r, out=r))))
+        m = max_lag or 0
+        sums = _PairSums(h, w, m)
+        for rows, cols in _slabs(h, w):
+            k, c = key.pixels[rows, cols], cover.pixels[rows, cols]
+            r, cw = k.shape
+            # each row of d sits behind m columns of context: the m values of
+            # d before it in the image row, zero before column 0. A lag
+            # product whose second factor is in the slab then has its first
+            # factor in the buffer, and none wraps into the next row.
+            padded = self._array("reals", r * (m + cw), np.float64).reshape(r, m + cw)
+            flat, d = padded.reshape(-1), padded[:, m:]
+            np.subtract(k, c, out=d, dtype=np.float64)
+            known = min(m, cols.start)  # context columns inside the image
+            padded[:, :m - known] = 0
+            if known:
+                before = slice(cols.start - known, cols.start)
+                np.subtract(key.pixels[rows, before], cover.pixels[rows, before],
+                            out=padded[:, m - known:m], dtype=np.float64)
+            for j in range(1, m + 1):
+                sums.lags[j - 1] += int(np.dot(flat[m - j:flat.size - j], flat[m:]))
+            if known:
+                padded[:, m - known:m] = 0  # from here on the context adds nothing
+            sums.s1 += int(flat.sum())
+            if cols.start < m:
+                stop = min(cols.stop, m)
+                sums.head[cols.start:stop] += \
+                    d[:, :stop - cols.start].sum(axis=0).astype(np.int64)
+            first = max(cols.start, w - m)
+            if first < cols.stop:
+                sums.tail[first - (w - m):cols.stop - (w - m)] += \
+                    d[:, first - cols.start:].sum(axis=0).astype(np.int64)
+            # d^2 per value of K + C; the context's zero squares go to bin 0
+            np.square(flat, out=flat)
+            ksum = self._array("ints", r * (m + cw), np.int64).reshape(r, m + cw)
+            ksum[:, :m] = 0
+            np.add(k, c, out=ksum[:, m:], dtype=np.int64)
+            sums.add_squares(np.bincount(ksum.reshape(-1), weights=flat))
+            dark = np.less(ksum[:, m:], 16, out=self._array("flags", r * cw, bool).reshape(r, cw))
+            sums.dark += int(np.count_nonzero(dark))
+        return sums
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +294,7 @@ def histogram(img: RawImage, bin_width: int = 1) -> Histogram:
     """Histogram of the image's pixel values; bins of bin_width counts."""
     if bin_width < 1:
         raise ValueError("bin_width must be >= 1")
-    counts = _WorkSet(img.pixel_count).value_counts(img)
+    counts = _WorkSet().value_counts(img)
     return _binned(counts, img.pixel_count, bin_width)
 
 
@@ -215,7 +314,7 @@ def kl_divergence(p_hist: Histogram, q_hist: Histogram,
     nbins = len(p_hist.counts)
     if p_hist.bin_width != q_hist.bin_width or nbins != len(q_hist.counts):
         raise ValueError("histograms use different binning")
-    return _WorkSet(nbins).kl_bits(p_hist, q_hist, smoothing)
+    return _WorkSet().kl_bits(p_hist, q_hist, smoothing)
 
 
 def histogram_csv(hist: Histogram) -> bytes:
@@ -251,14 +350,14 @@ def autocorrelation(key: RawImage, cover: RawImage, max_lag: int = AUTOCORR_LAGS
     """Normalized autocovariance of the capture difference at horizontal
     lags 1..max_lag, rows pooled. Subtracting the two captures cancels the
     static scene, leaving pure noise whose correlation should vanish."""
-    return _WorkSet(key.pixel_count).autocorrelation(key, cover, max_lag)
+    return _WorkSet().pair_sums(key, cover, max_lag).autocorrelation()
 
 
 def normalized_deviation(key: RawImage, cover: RawImage) -> float:
     """Root mean square of (K - C) / sqrt(K + C) over pixels with
     K + C >= 16. Pure shot noise gives exactly 1 in expectation; identical
     captures give 0; exposure drift pushes it above 1."""
-    return _WorkSet(key.pixel_count).normalized_deviation(key, cover)
+    return _WorkSet().pair_sums(key, cover, None).normalized_deviation()
 
 
 def chi_square_attack(img: RawImage) -> float:
@@ -273,7 +372,7 @@ def chi_square_attack(img: RawImage) -> float:
     null. Small p-value: the splits are too balanced for a genuine smooth
     histogram, the signature of full LSB embedding.
     """
-    work = _WorkSet(img.pixel_count)
+    work = _WorkSet()
     return work.chi2_pvalue(work.value_counts(img), img.pixel_count)
 
 
@@ -341,7 +440,7 @@ def build_calibration(scene: SceneRadiance, sensor: SensorConfig,
     if runs < 2:
         raise CalibrationError("calibration needs at least 2 runs")
     n = scene.width * scene.height
-    work = _WorkSet(n)
+    work = _WorkSet()
     shots = captures(scene, sensor, range(runs + 1))
     prev = next(shots)
     ref = _binned(work.value_counts(prev), n, bin_width)
@@ -352,9 +451,9 @@ def build_calibration(scene: SceneRadiance, sensor: SensorConfig,
         chi2_null.append(_chi2_logp(work.chi2_pvalue(counts, n)))
         del counts  # not held through the pair statistics or the next count
         if i % 2 == 0:
-            rho = work.autocorrelation(prev, im, AUTOCORR_LAGS)
-            ac_null.append(float(np.max(np.abs(rho))))
-            nd_null.append(abs(work.normalized_deviation(prev, im) - 1.0))
+            pair = work.pair_sums(prev, im, AUTOCORR_LAGS)
+            ac_null.append(float(np.max(np.abs(pair.autocorrelation()))))
+            nd_null.append(abs(pair.normalized_deviation() - 1.0))
         prev = im
     desc = f"{scene.width}x{scene.height} mean_lambda={scene.lam.mean():.6g}"
     return Calibration(
@@ -381,7 +480,7 @@ def ward_test(img: RawImage, calibration: Optional[Calibration],
             f"calibration built from {calibration.n_runs} runs; need >= 100"
         )
     n = img.pixel_count
-    work = _WorkSet(n)
+    work = _WorkSet()
     counts = work.value_counts(img)
     kl = work.kl_bits(_binned(counts, n, calibration.bin_width), calibration.reference_hist(),
                       KL_SMOOTHING)
@@ -394,11 +493,12 @@ def ward_test(img: RawImage, calibration: Optional[Calibration],
     ac: tuple = ()
     nd = math.nan
     if reference is not None:
-        rho = work.autocorrelation(img, reference, AUTOCORR_LAGS)
-        nd = work.normalized_deviation(img, reference)
+        pair = work.pair_sums(img, reference, AUTOCORR_LAGS)
+        rho = pair.autocorrelation()
+        nd = pair.normalized_deviation()
         ac = tuple(float(v) for v in rho)
         sizes["autocorr"] = img.pixel_count
-        sizes["norm_dev"] = img.pixel_count
+        sizes["norm_dev"] = pair.bright
         exceed.append(float(np.max(np.abs(rho))) > calibration.threshold("autocorr_max"))
         exceed.append(abs(nd - 1.0) > calibration.threshold("normdev_dev"))
     verdict = "suspicious" if any(exceed) else "clean"

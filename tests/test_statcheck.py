@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -277,21 +278,45 @@ def test_autocorrelation_matches_brute_force():
 
 
 def _autocorr_reference(key, cover, max_lag):
-    """Each lag's product formed from freshly centred slices."""
+    """Each lag's autocorrelation in exact rationals from int64 sums (exact
+    below 2^31 pixels), rounded once."""
     d = key.pixels.astype(np.int64) - cover.pixels.astype(np.int64)
-    mu = d.mean()
-    var = np.mean((d - mu) ** 2)
-    return np.array([np.mean((d[:, :-lag] - mu) * (d[:, lag:] - mu)) / var
-                     for lag in range(1, max_lag + 1)])
+    h, w = d.shape
+    mu = Fraction(int(d.sum()), h * w)
+    var = Fraction(int(np.sum(d * d)), h * w) - mu * mu
+    rho = []
+    for lag in range(1, max_lag + 1):
+        a, b = d[:, :-lag], d[:, lag:]
+        cov = (Fraction(int(np.sum(a * b))) - mu * (int(a.sum()) + int(b.sum()))) \
+            / (h * (w - lag)) + mu * mu
+        rho.append(float(cov / var))
+    return np.array(rho)
 
 
 def _normdev_reference(key, cover):
-    """The deviation over the selected pixels only."""
-    k = key.pixels.astype(np.float64)
-    c = cover.pixels.astype(np.float64)
-    ok = k + c >= 16
-    r = (k[ok] - c[ok]) / np.sqrt(k[ok] + c[ok])
-    return float(np.sqrt(np.mean(r ** 2)))
+    """The deviation from exact per-(K + C) sums of (K - C)^2: each sum
+    divided by its K + C once rounded, an exactly rounded sum over
+    K + C >= 16, divided by the count of those pixels."""
+    k = key.pixels.astype(np.int64).reshape(-1)
+    c = cover.pixels.astype(np.int64).reshape(-1)
+    s = k + c
+    order = np.argsort(s, kind="stable")
+    values, starts = np.unique(s[order], return_index=True)
+    sums = np.add.reduceat(((k - c) ** 2)[order], starts)
+    terms = [float(int(d2)) / int(v) for v, d2 in zip(values, sums) if v >= 16]
+    return math.sqrt(math.fsum(terms) / int(np.count_nonzero(s >= 16)))
+
+
+def _extreme_pair():
+    """K = 65535 and C = 0 in alternate pixels, random 16-bit values in the
+    others, over more than 2^21 pixels: the sums of d^2, and that of one
+    K + C alone, pass 2^52, so only integer accumulation keeps them exact."""
+    h, w = 1500, 1401
+    rng = np.random.default_rng(65535)
+    key, cover = (rng.integers(0, 65536, h * w, dtype=np.uint16) for _ in range(2))
+    key[0::2], cover[0::2] = 65535, 0
+    return (RawImage(width=w, height=h, pixels=key.reshape(h, w)),
+            RawImage(width=w, height=h, pixels=cover.reshape(h, w)))
 
 
 def _pair_cases():
@@ -313,8 +338,10 @@ def _pair_cases():
 
 
 def test_pair_statistics_equal_references_bitwise():
+    """Both statistics equal their exact values correctly rounded, on
+    capture pairs and on extreme values."""
     import warnings
-    for key, cover in _pair_cases():
+    for key, cover in _pair_cases() + [_extreme_pair()]:
         assert autocorrelation(key, cover, 8).tobytes() == \
             _autocorr_reference(key, cover, 8).tobytes()
         with warnings.catch_warnings():
@@ -323,6 +350,30 @@ def test_pair_statistics_equal_references_bitwise():
     key, cover = _pair_cases()[-1]
     assert np.any(key.pixels + cover.pixels == 0)
     assert np.any((key.pixels + cover.pixels > 0) & (key.pixels + cover.pixels < 16))
+    key, cover = _extreme_pair()
+    d2 = (key.pixels.astype(np.int64) - cover.pixels.astype(np.int64)) ** 2
+    assert int(d2.sum()) > 2 ** 52
+    assert int(d2[key.pixels.astype(np.int64) + cover.pixels == 65535].sum()) > 2 ** 52
+
+
+def test_pair_statistics_do_not_depend_on_the_slab(monkeypatch):
+    """Slabs shorter than max_lag, shorter than a row (the column-chunk
+    path), of a few whole rows with a short last slab, and the default
+    size give the same bytes, for the pair statistics, the histogram and a
+    calibration."""
+    scene = make_scene(120, 90, "gradient", 40.0)  # dark pixels on the exact samplers
+    sensor = SensorConfig(seed=77, read_noise_sigma=1.5)
+    outputs = []
+    for slab in (5, 50, 3 * 96 + 17, statcheck._SLAB):
+        monkeypatch.setattr(statcheck, "_SLAB", slab)
+        got = []
+        for key, cover in _pair_cases():
+            got += [autocorrelation(key, cover, lag).tobytes() for lag in (1, 8, 95)]
+            got.append(normalized_deviation(key, cover))
+            got.append(histogram(key, 3).counts.tobytes())
+        got.append(write_calibration(build_calibration(scene, sensor, runs=4, bin_width=2)))
+        outputs.append(got)
+    assert all(out == outputs[0] for out in outputs[1:])
 
 
 def test_autocorrelation_independent_pair_below_bound(flat_pair_1m):
@@ -547,6 +598,21 @@ def test_ward_pair_statistics_flag_jitter(calibration):
     assert report.sample_sizes["norm_dev"] == key.pixel_count
 
 
+def test_ward_norm_dev_sample_size_counts_the_pixels_it_uses(calibration):
+    """The normalized deviation's sample size is the count of pixels with
+    K + C >= 16, not the pixel count, on a pair with a dark band."""
+    key, cover = capture_pair(make_scene(256, 256, "flat", LAM_DETECT), SensorConfig(seed=29001))
+    scale = np.ones((256, 1), dtype=np.uint16)
+    scale[10:20], scale[20:30] = 1000, 20  # K + C = 0, then about 10
+    key, cover = (RawImage(width=256, height=256, pixels=im.pixels // scale)
+                  for im in (key, cover))
+    bright = int(np.count_nonzero(key.pixels.astype(np.int64) + cover.pixels >= 16))
+    assert 0 < bright < key.pixel_count - 256 * 10
+    sizes = ward_test(key, calibration, reference=cover).sample_sizes
+    assert sizes["norm_dev"] == bright
+    assert sizes["autocorr"] == sizes["kl"] == sizes["chi2"] == key.pixel_count
+
+
 def test_calibration_file_round_trip(calibration):
     data = write_calibration(calibration)
     assert data.startswith(b"shotstego-calibration v1\n")
@@ -694,6 +760,34 @@ def test_calibration_memory_stays_bounded():
     assert peak <= 4.5e6
 
 
+def _traced_peak(call):
+    """The tracemalloc peak of call(), after a warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_battery_memory_stays_bounded_at_2048():
+    """The battery works in slabs: ward_test with a reference on a 2048^2
+    pair (8 MB per image) peaks at most at 8 MB, and a 4-run calibration,
+    which holds two captures, at most at 32 MB (work arrays the size of
+    the image peaked at 105 MB and 126 MB)."""
+    scene = make_scene(2048, 2048, "flat", 1000.0)
+    key, cover = capture_pair(scene, SensorConfig(seed=5))
+    cal = statcheck.Calibration(
+        scene_desc="2048x2048 mean_lambda=1000", n_runs=100, bin_width=1,
+        reference_counts=histogram(cover).counts, kl_null=np.zeros(100),
+        chi2_logp_null=np.zeros(100), autocorr_max_null=np.zeros(50),
+        normdev_dev_null=np.zeros(50))
+    assert _traced_peak(lambda: ward_test(key, cal, reference=cover)) <= 8e6
+    assert _traced_peak(lambda: build_calibration(scene, SensorConfig(seed=6), runs=4)) <= 32e6
+
+
 # ---------------------------------------------------------------------------
 # bit-identity pins
 # ---------------------------------------------------------------------------
@@ -708,7 +802,9 @@ _PIN_SCENES = {
 }
 
 # SHA-256 of the calibration and report bytes, recorded with the battery
-# evaluating KL on every bin and taking p-values from scipy.stats.chi2.sf.
+# evaluating KL on every bin and taking p-values from scipy.stats.chi2.sf;
+# the pcb reference report counts only the pixels with K + C >= 16 as the
+# normalized deviation's sample.
 _PINS = {
     "flat-100": {
         "calibration": "5f73f7fc7233390a79b260f5dc0943167daceb866c35e7928aee99d2652c3e37",
@@ -726,7 +822,7 @@ _PINS = {
         "calibration": "f2e5e9b66ffbbf6ba31e6ddb36d3f7889cd6ac944b690beeccb768680145af1e",
         "clean": "9e4a7b6f2e8400a740c47d4f98bc3f23360fa87215f64de82ddc7cf9d9fb2d73",
         "lsb": "be3386d1b2ebe673fd04aab1c513fd5d82796995f8da8242832fc5eb0263b00f",
-        "reference": "0bc8b9023f1cb3ac84ad446073733e16a55ef3eca200b892c5577995ea06ce61",
+        "reference": "78e19eafe287d619cbaca17fd85adf60e46e02c18151c2f5754eccdfd4d44be8",
     },
 }
 
