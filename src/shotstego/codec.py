@@ -14,7 +14,8 @@ implementations interoperate:
     0x11D, generator alpha=2, systematic, parity roots alpha^0..alpha^(t-1).
     Encoder and decoder hold the blocks as the rows of one array, the short
     last block left-padded with zeros: leading zeros change neither a
-    block's parity nor its syndromes, so every block is coded in lockstep.
+    block's parity nor its syndromes, so every block is coded in lockstep,
+    and the decoder corrects all of its rows in one call.
   * mixing permutation: backward Fisher-Yates driven by the splitmix64
     stream of the mixing seed (`rng`), bounded draws by rejection sampling.
   * filler: splitmix64 stream of (mixing_seed XOR rng.FILLER_SALT), 64-bit
@@ -22,7 +23,9 @@ implementations interoperate:
     increasing position order.
 
 The receiver does not know where the coded data ends among the filler;
-`rs_decode_stream` recovers the length from the framed header.
+`rs_decode_stream` recovers the length from the framed header. For a
+message shorter than one block it takes every candidate length as a
+zero-padded row, like a short last block, and corrects them all at once.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import functools
 import zlib
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng
 
@@ -70,25 +74,17 @@ def _build_tables():
 
 
 GF_EXP, GF_LOG = _build_tables()
-_GF_EXP_INT = [int(v) for v in GF_EXP]
-_GF_LOG_INT = [int(v) for v in GF_LOG]
 _EVAL_CELLS = 1 << 18  # index cells per _gf_eval chunk: 2 MiB of int64
 
 
-def _gf_mul(a: int, b: int) -> int:
-    return _GF_EXP_INT[_GF_LOG_INT[a] + _GF_LOG_INT[b]]
+def _gf_product(a, b):
+    """Elementwise product of two broadcastable arrays of field elements."""
+    return GF_EXP[GF_LOG[a] + GF_LOG[b]]
 
 
-def _gf_inv(a: int) -> int:
-    return _GF_EXP_INT[255 - _GF_LOG_INT[a]]
-
-
-def _gf_poly_mul(p, q):
-    r = [0] * (len(p) + len(q) - 1)
-    for j, qj in enumerate(q):
-        for i, pi in enumerate(p):
-            r[i + j] ^= _gf_mul(pi, qj)
-    return r
+def _gf_quotient(a, b):
+    """Elementwise a / b where b is nonzero (some byte where it is zero)."""
+    return GF_EXP[GF_LOG[a] + 255 - GF_LOG[b]]
 
 
 def _gf_eval(coefs: np.ndarray, exponents: np.ndarray) -> np.ndarray:
@@ -109,10 +105,11 @@ def _gf_eval(coefs: np.ndarray, exponents: np.ndarray) -> np.ndarray:
 def _generator_products(nsym: int) -> np.ndarray:
     """Row c holds c times each generator coefficient below the leading 1,
     highest degree first: the bytes one division step XORs in."""
-    g = [1]
+    g = np.zeros(nsym + 1, dtype=np.uint8)
+    g[0] = 1
     for i in range(nsym):
-        g = _gf_poly_mul(g, [1, _GF_EXP_INT[i]])  # root alpha^i
-    table = GF_EXP[GF_LOG[:, None] + GF_LOG[np.array(g[1:])][None, :]]
+        g[1:] ^= _gf_product(g[:-1], GF_EXP[i])  # times (x + alpha^i)
+    table = _gf_product(np.arange(256)[:, None], g[1:])
     table.flags.writeable = False
     return table
 
@@ -128,79 +125,61 @@ def _check_parity(parity_symbols: int) -> None:
         )
 
 
-def _berlekamp_massey(synd: list[int], nsym: int) -> list[int]:
-    """Error locator polynomial, highest degree first."""
-    err_loc = [1]
-    old_loc = [1]
-    for i in range(nsym):
-        delta = synd[i]
-        for j in range(1, len(err_loc)):
-            delta ^= _gf_mul(err_loc[-(j + 1)], synd[i - j])
-        old_loc.append(0)
-        if delta != 0:
-            if len(old_loc) > len(err_loc):
-                new_loc = [_gf_mul(c, delta) for c in old_loc]
-                inv = _gf_inv(delta)
-                old_loc = [_gf_mul(c, inv) for c in err_loc]
-                err_loc = new_loc
-            scaled = [_gf_mul(c, delta) for c in old_loc]
-            # xor-add, aligning lowest degrees (both stored highest first)
-            if len(scaled) > len(err_loc):
-                err_loc = [0] * (len(scaled) - len(err_loc)) + err_loc
-            off = len(err_loc) - len(scaled)
-            for k, c in enumerate(scaled):
-                err_loc[off + k] ^= c
-    while err_loc and err_loc[0] == 0:
-        err_loc.pop(0)
-    return err_loc
-
-
-def _rs_errors(synd: list[int], length: int, nsym: int) -> tuple[np.ndarray, np.ndarray]:
-    """Degrees and values of the errors behind nonzero syndromes of a block
-    of `length` bytes; raises DecodeError beyond nsym // 2 errors."""
-    locator = _berlekamp_massey(synd, nsym)[::-1]  # lowest degree first
-    n_err = len(locator) - 1
-    if n_err == 0 or n_err > nsym // 2:
-        raise DecodeError("uncorrectable block: too many errors")
-    # Chien search over the block's real degrees only: the locator has roots
-    # at alpha^-d for the error degrees d, and a root in the zero padding
-    # leaves the count short
-    real = np.arange(length)
-    degrees = real[_gf_eval(np.array([locator]), -real % 255)[0] == 0]
-    if len(degrees) != n_err:
-        raise DecodeError("uncorrectable block: error locator has no valid roots")
-    # Forney with parity roots alpha^0..alpha^(nsym-1):
-    #   e_l = Omega(X_l^-1) / prod_{j != l} (1 - X_j X_l^-1),
-    # Omega = S(x) * Lambda(x) mod x^nsym.
-    omega = _gf_poly_mul(synd, locator)[:nsym]
-    numerators = _gf_eval(np.array([omega]), -degrees % 255)[0].tolist()
-    xs = [_GF_EXP_INT[d] for d in degrees]
-    values = []
-    for num, x in zip(numerators, xs):
-        x_inv = _gf_inv(x)
-        denom = 1
-        for xj in xs:
-            if xj != x:  # distinct roots, so no factor is zero
-                denom = _gf_mul(denom, 1 ^ _gf_mul(x_inv, xj))
-        values.append(_gf_mul(num, _gf_inv(denom)))
-    return degrees, np.array(values, dtype=np.uint8)
-
-
-def _rs_correct(rows: np.ndarray, pad: int, nsym: int) -> np.ndarray:
+def _rs_correct(rows: np.ndarray, lengths, nsym: int) -> np.ndarray:
     """Correct up to nsym // 2 byte errors in each 255-byte row in place and
-    return the rows; the last row starts with `pad` bytes of zero padding.
-    Only rows with nonzero syndromes (the rows evaluated at the parity roots,
-    last byte of degree 0) are decoded, and re-checked after."""
+    return one flag per row: the row is now a codeword. Row r, a block or a
+    candidate layout, is lengths[r] bytes behind zero padding. The rows with
+    nonzero syndromes (the rows evaluated at the parity roots, last byte of
+    degree 0) are decoded in lockstep; a row whose errors cannot be located
+    is left as it was, and a corrected row is checked again."""
     roots = np.arange(nsym)
     synd = _gf_eval(rows[:, ::-1], roots)
-    bad = np.flatnonzero(synd.any(axis=1))
-    for r in bad:
-        length = 255 - pad if r == len(rows) - 1 else 255
-        degrees, values = _rs_errors(synd[r].tolist(), length, nsym)
-        rows[r, 254 - degrees] ^= values
-    if _gf_eval(rows[bad, ::-1], roots).any():
-        raise DecodeError("uncorrectable block: correction did not converge")
-    return rows
+    fixed = ~synd.any(axis=1)
+    bad = np.flatnonzero(~fixed)
+    if len(bad) == 0:
+        return fixed
+    synd = synd[bad]
+    # Berlekamp-Massey (Massey 1969), lowest degree first: the locator, and
+    # the locator before its last length change over that change's
+    # discrepancy, times x for every step since
+    locator = np.zeros((len(bad), nsym + 1), dtype=np.uint8)
+    locator[:, 0] = 1
+    prev = locator.copy()
+    size = np.zeros(len(bad), dtype=np.int64)
+    for n in range(nsym):
+        prev = np.roll(prev, 1, axis=1)  # its top degree is still zero
+        delta = np.bitwise_xor.reduce(
+            _gf_product(locator[:, :n + 1], synd[:, n::-1]), axis=1)
+        step = _gf_product(delta[:, None], prev)
+        grow = (delta != 0) & (2 * size <= n)
+        prev[grow] = _gf_quotient(locator[grow], delta[grow, None])
+        size[grow] = n + 1 - size[grow]
+        locator ^= step
+    # Chien search over the real degrees only: a correctable row's locator
+    # has degree `size` <= nsym // 2 and a root alpha^-d for each error
+    # degree d; a root in the zero padding, or a longer locator cut to
+    # nsym // 2 + 1 terms, leaves the count short
+    width = min(size.max(), nsym // 2) + 1  # terms of the longest correctable locator
+    locator = locator[:, :width]
+    real = np.arange(255)
+    inverse = -real % 255  # X^-1 for X = alpha^d
+    found = (_gf_eval(locator, inverse) == 0) & (real < np.asarray(lengths)[bad, None])
+    fit = np.flatnonzero(found.sum(axis=1) == size)
+    r, degrees = np.nonzero(found[fit])
+    # Forney with parity roots alpha^0..alpha^(nsym-1): the error at X =
+    # alpha^d is X Omega(X^-1) / Lambda'(X^-1) = Omega(X^-1) / odd(X^-1),
+    # odd the odd-degree terms of Lambda and Omega = S Lambda mod x^nsym,
+    # whose degree is below the error count, so `width` terms hold it
+    locator, synd = locator[fit], synd[fit]
+    omega = np.zeros_like(locator)
+    for i in range(width):
+        omega[:, i:] ^= _gf_product(locator[:, i, None], synd[:, :width - i])
+    locator[:, ::2] = 0
+    values = _gf_quotient(_gf_eval(omega, inverse), _gf_eval(locator, inverse))[r, degrees]
+    fit = bad[fit]
+    rows[fit[r], 254 - degrees] ^= values
+    fixed[fit] = ~_gf_eval(rows[fit, ::-1], roots).any(axis=1)
+    return fixed
 
 
 def _frame(payload: bytes) -> bytes:
@@ -248,9 +227,10 @@ def rs_encode(payload: bytes, parity_symbols: int) -> bytes:
 def rs_decode(coded: bytes, parity_symbols: int) -> bytes:
     """Correct every block, strip framing, verify length and CRC-32.
 
-    Raises DecodeError on an uncorrectable block, framing that does not
-    match the coded length, or a CRC mismatch. Never returns a silently
-    wrong payload (up to CRC-32 strength).
+    Raises DecodeError on an uncorrectable block (naming the first, as
+    "block i of n"), framing that does not match the coded length, or a
+    CRC mismatch. Never returns a silently wrong payload (up to CRC-32
+    strength).
     """
     _check_parity(parity_symbols)
     coded = bytes(coded)
@@ -259,7 +239,12 @@ def rs_decode(coded: bytes, parity_symbols: int) -> bytes:
     if n == 0 or (rem != 0 and rem <= parity_symbols):
         raise DecodeError("coded length inconsistent with block structure")
     rows, pad = _blocks(coded, 255)
-    framed = _unblock(_rs_correct(rows, pad, parity_symbols)[:, :255 - parity_symbols], pad)
+    lengths = np.full(len(rows), 255)
+    lengths[-1] -= pad
+    fixed = _rs_correct(rows, lengths, parity_symbols)
+    if not fixed.all():
+        raise DecodeError(f"uncorrectable block: block {np.argmin(fixed) + 1} of {len(rows)}")
+    framed = _unblock(rows[:, :255 - parity_symbols], pad)
     if len(framed) < 8:
         raise DecodeError("coded data too short for framing header")
     length = int.from_bytes(framed[0:4], "big")
@@ -278,23 +263,30 @@ def rs_decode_stream(stream: bytes, parity_symbols: int) -> bytes:
     """Decode a coded stream of unknown length followed by filler bytes.
 
     A stream of at least one full block: correct the first block, read the
-    framed length, then decode exactly that prefix. Failing that, try every
-    layout shorter than one block. Raises DecodeError when nothing decodes
-    (wrong key, wrong plan, or damage beyond the correction budget).
+    framed length, then decode exactly that prefix. Failing that, every
+    layout shorter than one block becomes a zero-padded row, like a short
+    last block; all are corrected in one call, and the shortest that then
+    decodes with matching length and CRC-32 is returned. Raises DecodeError
+    when nothing decodes (wrong key, wrong plan, or damage beyond the
+    correction budget).
     """
     _check_parity(parity_symbols)
     stream = bytes(stream)
     if len(stream) >= 255:
-        try:
-            first = _rs_correct(*_blocks(stream[:255], 255), parity_symbols)
+        first, _ = _blocks(stream[:255], 255)
+        if _rs_correct(first, [255], parity_symbols)[0]:
             need = coded_length(int.from_bytes(first[0, :4].tobytes(), "big"), parity_symbols)
             if 255 <= need <= len(stream):
-                return rs_decode(stream[:need], parity_symbols)
-        except DecodeError:
-            pass
-    for need in range(8 + parity_symbols, min(255, len(stream)) + 1):
+                try:
+                    return rs_decode(stream[:need], parity_symbols)
+                except DecodeError:
+                    pass
+    # window i is 255 - i zeros and then the first i bytes of the stream
+    lengths = np.arange(8 + parity_symbols, min(255, len(stream)) + 1)
+    rows = sliding_window_view(np.frombuffer(bytes(255) + stream[:255], np.uint8), 255)[lengths]
+    for length in lengths[_rs_correct(rows, lengths, parity_symbols)]:
         try:
-            return rs_decode(stream[:need], parity_symbols)
+            return rs_decode(stream[:length], parity_symbols)
         except DecodeError:
             continue
     raise DecodeError("no decodable payload found (wrong key, wrong plan, "
@@ -392,14 +384,19 @@ def mixing_permutation(slot_count: int, mixing_seed: int) -> np.ndarray:
     return perm
 
 
+def _filler_bytes(count: int, seed: int) -> np.ndarray:
+    """The first `count` bytes of the filler stream (big-endian words)."""
+    words = rng.outputs(seed ^ rng.FILLER_SALT, 1, -(-count // 8))
+    return words.astype(">u8").view(np.uint8)[:count]
+
+
 def keyed_filler_bits(count: int, seed: int) -> np.ndarray:
     """`count` pseudorandom bits from the domain-separated filler stream.
 
     64-bit words of splitmix64(seed XOR FILLER_SALT), consumed MSB-first.
     Statistically a fair coin; keyed so outputs are reproducible.
     """
-    words = rng.outputs(seed ^ rng.FILLER_SALT, 1, -(-count // 64))
-    return np.unpackbits(words.astype(">u8").view(np.uint8))[:count]  # MSB-first per word
+    return np.unpackbits(_filler_bytes(-(-count // 8), seed), count=count)
 
 
 def check_capacity(coded_length: int, capacity_bits: int) -> None:
@@ -415,20 +412,22 @@ def scatter(coded: bytes, perm: np.ndarray, capacity_bits: int, mixing_seed: int
 
     Byte b lands at slot perm[b], occupying 8 consecutive bit positions
     MSB-first. Returns a bit vector (uint8 0/1) of exactly capacity_bits.
+    Free slots take whole filler bytes in slot order, the tail bits past
+    the last slot the leading bits of the next filler byte.
     """
     slots = capacity_bits // 8
     if len(perm) != slots:
         raise CodecError(f"permutation covers {len(perm)} slots, capacity has {slots}")
     check_capacity(len(coded), capacity_bits)
-    bits = np.zeros(capacity_bits, dtype=np.uint8)
-    free = np.ones(capacity_bits, dtype=bool)
-    if len(coded) > 0:
-        placed = perm[:len(coded)]
-        bits[:8 * slots].reshape(slots, 8)[placed] = np.unpackbits(
-            np.frombuffer(coded, dtype=np.uint8)).reshape(-1, 8)
-        free[:8 * slots].reshape(slots, 8)[placed] = False
-    bits[free] = keyed_filler_bits(int(np.count_nonzero(free)), mixing_seed)
-    return bits
+    placed = perm[:len(coded)]
+    filler = _filler_bytes(slots + 1 - len(coded), mixing_seed)
+    free = np.ones(slots + 1, dtype=bool)  # the extra slot holds the tail bits
+    free[placed] = False
+    out = np.empty(slots + 1, dtype=np.uint8)
+    out[free] = filler
+    out[placed] = np.frombuffer(coded, dtype=np.uint8)
+    del filler, free  # before the bits, which take eight times the room
+    return np.unpackbits(out, count=capacity_bits)
 
 
 def gather(bits: np.ndarray, perm: np.ndarray, coded_length: int) -> bytes:

@@ -165,6 +165,15 @@ def test_rs_beyond_capacity_never_silent():
             assert out == payload  # miscorrection slipped past RS but not CRC
 
 
+def test_rs_decode_names_the_uncorrectable_block():
+    r = random.Random(2)
+    coded = bytearray(rs_encode(r.randbytes(300), 32))
+    for pos in r.sample(range(255, len(coded)), 17):  # t + 1 errors in block 2
+        coded[pos] ^= r.randint(1, 255)
+    with pytest.raises(DecodeError, match="block 2 of 2"):
+        rs_decode(bytes(coded), 32)
+
+
 def test_rs_parity_validation():
     with pytest.raises(CodecError):
         rs_encode(b"x", 3)
@@ -441,16 +450,52 @@ def _rs_decode_stream_reference(stream: bytes, nsym: int) -> bytes:
     raise DecodeError("no decodable payload found")
 
 
+@pytest.mark.parametrize("nsym", [8, 32])
+def test_rs_correct_rows_do_not_interact(nsym):
+    """One `_rs_correct` call over rows of lengths 8 + nsym to 255 with
+    0..t, t + 1 or 40 byte errors, or one error in the zero padding: each
+    row's flag and bytes are the scalar reference's on that row alone, and
+    a row the reference cannot correct is left as it was."""
+    t = nsym // 2
+    r = random.Random(nsym)
+    blocks = []
+    for i, kind in enumerate(["0..t", "t+1", "40", "padding root"] * 8):
+        length = [8 + nsym, 254, 255][i] if i < 3 else r.randint(8 + nsym, 255)
+        if kind == "padding root":
+            length = min(length, 254)
+        data = r.randbytes(length - nsym)
+        block = bytearray(data + _rs_parity_reference(data, nsym))
+        if kind == "padding root":
+            block[-nsym:] = _xor(block[-nsym:], _padding_root(r.randrange(length, 255), nsym))
+        else:
+            count = {"0..t": r.randint(0, t), "t+1": t + 1, "40": 40}[kind]
+            for pos in r.sample(range(length), min(count, length)):
+                block[pos] ^= r.randint(1, 255)
+        blocks.append(bytes(block))
+    rows = np.array([np.frombuffer(bytes(255 - len(b)) + b, np.uint8) for b in blocks])
+    before = rows.copy()
+    fixed = codec._rs_correct(rows, np.array([len(b) for b in blocks]), nsym)
+    assert 0 < fixed.sum() < len(blocks)
+    for block, row, old, ok in zip(blocks, rows, before, fixed):
+        try:
+            expect = bytes(255 - len(block)) + _rs_correct_block_reference(block, nsym)
+        except DecodeError:
+            assert not ok and np.array_equal(row, old)
+        else:
+            assert ok and row.tobytes() == expect
+
+
 @st.composite
 def _received_streams(draw):
-    """A coded stream of one to three blocks as a receiver may gather it:
+    """A coded stream of one to three blocks (eight of one data byte at
+    parity 254) as a receiver may gather it:
     byte errors in every block (0..t, exactly t, t + 1 or 40), or a short
     last block one error in its zero padding away from a full-length
     codeword; then kept whole, truncated, followed by filler, or replaced by
     filler alone."""
-    nsym = draw(st.sampled_from([2, 4, 8, 16, 32, 64]))
+    nsym = draw(st.sampled_from([2, 4, 8, 16, 32, 64, 128, 254]))
     t = nsym // 2
-    size = draw(st.integers(min_value=0, max_value=3 * (255 - nsym) - 8))
+    size = draw(st.integers(min_value=0, max_value=max(0, 3 * (255 - nsym) - 8)))
     r = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     coded = bytearray(rs_encode(r.randbytes(size), nsym))
     errors = draw(st.sampled_from(["0..t", "t", "t+1", "40", "padding root"]))

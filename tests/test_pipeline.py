@@ -149,7 +149,7 @@ def test_stego_bytes_pinned(g):
 @pytest.fixture(scope="module")
 def exchange_2048():
     """The arguments of each exchange call at 2048^2, g=16 and a 16 kB
-    payload at parity 32, on a gradient at mean 1000."""
+    payload at parity 32, on a gradient at mean 1000; and scatter at g=1."""
     key, cover = capture_pair(make_scene(2048, 2048, "gradient", 1000.0), SensorConfig(seed=5))
     coded = codec.rs_encode(bytes(range(256)) * 64, 32)
     mask = stego.default_usable_mask(key, 50000)
@@ -157,20 +157,25 @@ def exchange_2048():
     perm = codec.mixing_permutation(capacity // 8, 3)
     bits = codec.scatter(coded, perm, capacity, 3)
     stego_img = stego.embed(key, cover, bits, mask, 16)
+    capacity_g1 = stego.capacity_bits(mask, 1)
+    perm_g1 = codec.mixing_permutation(capacity_g1 // 8, 3)
     return {
         "default_usable_mask": lambda: stego.default_usable_mask(key, 50000),
         "embed": lambda: stego.embed(key, cover, bits, mask, 16).pixels,
         "extract": lambda: stego.extract(stego_img, key, mask, 16).bits,
         "scatter": lambda: codec.scatter(coded, perm, capacity, 3),
         "gather": lambda: codec.gather(bits, perm, capacity // 8),
+        "scatter g=1": lambda: codec.scatter(coded, perm_g1, capacity_g1, 3),
     }
 
 
-@pytest.mark.parametrize("call", ["default_usable_mask", "embed", "extract", "scatter", "gather"])
+@pytest.mark.parametrize("call", ["default_usable_mask", "embed", "extract", "scatter", "gather",
+                                  "scatter g=1"])
 def test_exchange_memory_stays_bounded(exchange_2048, call):
     """Each call of a 2048^2 exchange allocates little beyond what it
     returns: after a warm-up call, the traced peak is at most 2 MB above the
-    returned array (image-sized temporaries put 2.6 to 8.6 MB above it)."""
+    returned array (image-sized temporaries put 2.6 to 8.6 MB above it; a
+    bit-sized free mask and filler put 9.2 MB above the g=1 scatter)."""
     run = exchange_2048[call]
     run()
     tracemalloc.start()
