@@ -10,7 +10,7 @@ import numpy as np
 
 from shotstego import SensorConfig, capture, capture_pair, make_scene
 from shotstego.statcheck import autocorrelation, normalized_deviation
-from shotstego.stego import collision_rate, expected_collision_rate
+from shotstego.stego import DARK_FLOOR, collision_rate, expected_collision_rate
 
 sensor = SensorConfig(seed=2026)
 
@@ -44,7 +44,7 @@ print("\n=== Saturation on a high-contrast scene ===")
 pcb = make_scene(512, 512, "pcb", 10000)
 img = capture(pcb, sensor, 0)
 n_sat = int(np.sum(img.pixels == sensor.full_well))
-n_dark = int(np.sum(img.pixels < 16))
+n_dark = int(np.sum(img.pixels < DARK_FLOOR))
 print(f"pcb scene: {n_sat} saturated pixels, {n_dark} dark pixels "
       f"of {img.pixel_count} (both are excluded from embedding by the "
-      f"default usable-pixel mask)")
+      f"usable-pixel rule, {DARK_FLOOR} <= count < full well)")

@@ -106,7 +106,7 @@ def _add_plan_flags(p: _Parser) -> None:
     p.add_argument("--mixing-seed", type=int, default=1)
     p.add_argument("--block-pixels", type=_int_at_least(1), default=1)
     p.add_argument("--full-well", type=int, default=DEFAULT_FULL_WELL,
-                   help="full well used to derive the usable-pixel mask")
+                   help="full well that bounds the usable pixels")
 
 
 @functools.lru_cache(maxsize=1)

@@ -430,14 +430,10 @@ def scatter(coded: bytes, perm: np.ndarray, capacity_bits: int, mixing_seed: int
     return np.unpackbits(out, count=capacity_bits)
 
 
-def gather(bits: np.ndarray, perm: np.ndarray, coded_length: int) -> bytes:
-    """Inverse of scatter restricted to the occupied slots."""
+def gather(bits: np.ndarray, perm: np.ndarray) -> bytes:
+    """Inverse of scatter: the bytes of every slot, in coded order."""
     bits = np.asarray(bits, dtype=np.uint8)
-    if coded_length > len(perm):
-        raise CodecError(f"coded_length {coded_length} exceeds slot count {len(perm)}")
     if len(bits) < 8 * len(perm):
         raise CodecError(f"bit vector of {len(bits)} bits is shorter than {len(perm)} slots")
-    if coded_length == 0:
-        return b""
     rows = bits[:8 * len(perm)].reshape(len(perm), 8)
-    return np.packbits(rows[perm[:coded_length]]).tobytes()
+    return np.packbits(rows[perm]).tobytes()

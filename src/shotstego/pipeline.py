@@ -2,8 +2,9 @@
 
 Sender: frame + Reed-Solomon + keyed byte mixing + filler padding, then
 pixel-selection embedding. Receiver: key comparison, unmixing, correction,
-CRC check. Both sides derive the usable-pixel mask from the shared key
-image, so it is never passed in. The payload length is never passed either:
+CRC check. Which pixels carry bits follows from the shared key image and
+the full well, so `stego` works it out on each side and nothing passes a
+mask. The payload length is never passed either:
 `codec.rs_decode_stream` recovers it from the framed header. Whether the
 coded message fits the image is stated once, in `codec.check_capacity`.
 """
@@ -33,8 +34,7 @@ def embed_message(key: RawImage, cover: RawImage, payload: bytes,
                   block_pixels: int = 1,
                   full_well: int = DEFAULT_FULL_WELL) -> EmbedResult:
     """Alice's side: returns the stego image ready to publish."""
-    mask = stego.default_usable_mask(key, full_well)
-    capacity_bits = stego.capacity_bits(mask, block_pixels)
+    capacity_bits = stego.capacity_bits(key, full_well, block_pixels)
     payload = bytes(payload)
     coded_length = codec.coded_length(len(payload), parity_symbols)
     # rejects an oversized message before the encoding and the permutation,
@@ -43,7 +43,7 @@ def embed_message(key: RawImage, cover: RawImage, payload: bytes,
     coded = codec.rs_encode(payload, parity_symbols)
     perm = codec.mixing_permutation(capacity_bits // 8, mixing_seed)
     bits = codec.scatter(coded, perm, capacity_bits, mixing_seed)
-    stego_image = stego.embed(key, cover, bits, mask, block_pixels)
+    stego_image = stego.embed(key, cover, bits, full_well, block_pixels)
     return EmbedResult(stego_image=stego_image, coded_length=coded_length,
                        capacity_bits=capacity_bits, bits=bits)
 
@@ -53,12 +53,9 @@ def extract_message(stego_image: RawImage, key: RawImage,
                     block_pixels: int = 1,
                     full_well: int = DEFAULT_FULL_WELL) -> bytes:
     """Bob's side: recover the payload or raise DecodeError loudly."""
-    mask = stego.default_usable_mask(key, full_well)
-    slots = stego.capacity_bits(mask, block_pixels) // 8
+    bits = stego.extract(stego_image, key, full_well, block_pixels).bits
+    slots = len(bits) // 8
     if slots < 1:
         raise DecodeError("image has no usable byte capacity")
-    bits = stego.extract(stego_image, key, mask, block_pixels).bits
-    del mask  # image-sized; freed before the permutation's work arrays
-    perm = codec.mixing_permutation(slots, mixing_seed)
-    stream = codec.gather(bits, perm, slots)
+    stream = codec.gather(bits, codec.mixing_permutation(slots, mixing_seed))
     return codec.rs_decode_stream(stream, parity_symbols)

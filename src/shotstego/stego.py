@@ -14,16 +14,18 @@ power, which is the capacity-for-robustness trade of block mode.
 
 Both directions share one grouping rule: the usable pixels, in row-major
 order, are cut into runs of g and bit b owns run b; leftover usable pixels
-and masked pixels always come from the key. The boolean (height, width)
-mask is always given; `default_usable_mask` derives it from the key.
+and unusable pixels always come from the key. A pixel is usable if
+DARK_FLOOR <= K < full_well: saturated pixels (pinned at the full well in
+both captures) and dark ones (no photon noise to hide in) are left out.
+The key and the full well alone decide, so both sides find the same pixels.
 
-Every image-sized pass (the mask, embed, extract) walks the flat pixels in
-slabs of SLAB_PIXELS, so its temporaries are slab-sized and the outputs are
-the only image-sized arrays. Embed and extract carry the usable-pixel rank
-from one slab to the next: if `rank` usable pixels precede a slab, its i-th
-usable pixel belongs to bit (rank + i) // g. A group that straddles slabs
-is cut at the slab boundaries; embed fills each part from the same bit and
-extract ORs the parts' differences into it.
+One walker, `_slabs`, evaluates that rule for every pass over the image. It
+walks the key's flat pixels in slabs of SLAB_PIXELS, so its temporaries are
+slab-sized and the outputs are the only image-sized arrays, and it carries
+the usable-pixel rank from one slab to the next: if `rank` usable pixels
+precede a slab, its i-th usable pixel belongs to bit (rank + i) // g. A
+group that straddles slabs is cut at the slab boundaries; embed fills each
+part from the same bit and extract ORs the parts' differences into it.
 """
 
 from __future__ import annotations
@@ -50,117 +52,113 @@ class DecodedBits:
     raw_mismatch_count: int
 
 
-def default_usable_mask(key: RawImage, full_well: int) -> np.ndarray:
-    """Exclude the two failure sources visible in the key alone: saturated
-    pixels (count pinned at the full well in both captures) and dark pixels
-    (no photon noise to hide in). Both sides derive the identical mask from
-    the shared key image. A full well outside [1, 65535] is refused."""
+def _slabs(key: RawImage, full_well: int, g: int = 1, limit: int = 0):
+    """Walk the key in slabs, flagging its usable pixels. A full well
+    outside [1, 65535] or g < 1 is refused on the call, before any slab.
+    Yields the slab's pixel slice, its flags (a buffer the next slab
+    overwrites), its usable count and its runs: (a, b, w, first) says that
+    the slab's usable pixels [a, b) are (b - a) // w rows of w pixels, row
+    i in group first + i. The runs are at most three: the tail of a group
+    begun in an earlier slab, the slab's whole groups and the head of a
+    group it leaves open. Usable pixels past rank limit // g * g are in no
+    run."""
     if not 1 <= full_well <= 65535:
         raise ValueError("full_well must be in [1, 65535] so counts fit 16 bits")
-    px = key.pixels.reshape(-1)
-    out = np.empty(px.shape, dtype=bool)
-    for s in range(0, px.size, SLAB_PIXELS):
-        part = slice(s, s + SLAB_PIXELS)
-        np.less(px[part], full_well, out=out[part])
-        out[part] &= px[part] >= DARK_FLOOR
-    return out.reshape(key.pixels.shape)
-
-
-def _flat_mask(mask: np.ndarray, block_pixels: int, shape: tuple) -> np.ndarray:
-    """The usable mask, flattened row-major, once g >= 1 and the mask is a
-    2-D array of the expected (height, width) shape."""
-    if block_pixels < 1:
+    if g < 1:
         raise ValueError("block_pixels must be >= 1")
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2 or mask.shape != shape:
-        raise ValueError(f"usable mask of shape {mask.shape} does not match {shape}")
-    return mask.reshape(-1)
+    px = key.pixels.reshape(-1)
+    flags = np.empty(min(px.size, SLAB_PIXELS), dtype=bool)
+    end = limit // g * g
+
+    def walk():
+        rank = 0
+        for s in range(0, px.size, SLAB_PIXELS):
+            k = px[s:s + SLAB_PIXELS]
+            m = flags[:k.size]
+            np.less(k, full_well, out=m)
+            m &= k >= DARK_FLOOR
+            used = int(np.count_nonzero(m))
+            start, rank = rank, rank + used
+            stop = max(min(rank, end), start)
+            lo = min(-(-start // g) * g, stop)  # first group boundary in [start, stop]
+            hi = max(stop // g * g, lo)  # last one
+            runs = [(a - start, b - start, w, a // g)
+                    for a, b, w in ((start, lo, lo - start), (lo, hi, g), (hi, stop, stop - hi))
+                    if b > a]
+            yield slice(s, s + k.size), m, used, runs
+
+    return walk()
 
 
-def capacity_bits(mask: np.ndarray, block_pixels: int) -> int:
+def default_usable_mask(key: RawImage, full_well: int) -> np.ndarray:
+    """The usable pixels of the key as a (height, width) boolean array."""
+    out = np.empty(key.pixels.shape, dtype=bool)
+    flat = out.reshape(-1)
+    for part, m, _, _ in _slabs(key, full_well):
+        flat[part] = m
+    return out
+
+
+def capacity_bits(key: RawImage, full_well: int, block_pixels: int) -> int:
     """Message bits the grouping holds: one per whole run of g usable pixels."""
-    return int(np.count_nonzero(_flat_mask(mask, block_pixels, np.shape(mask)))) // block_pixels
+    return sum(used for _, _, used, _ in _slabs(key, full_well, block_pixels)) // block_pixels
 
 
-def _slabs(mask: np.ndarray, g: int, n_groups: int):
-    """Walk the flat mask in slabs of SLAB_PIXELS pixels, carrying the rank
-    of the slab's first usable pixel. Yields the slab's pixel slice, its
-    mask, its usable count and its runs: (a, b, w, first) says that the
-    slab's usable pixels [a, b) are (b - a) // w rows of w pixels, row i
-    in group first + i. The runs are at most three: the tail of a group
-    begun in an earlier slab, the slab's whole groups and the head of a
-    group it leaves open. Usable pixels past the last whole group are in no
-    run."""
-    rank = 0
-    end = n_groups * g
-    for s in range(0, mask.size, SLAB_PIXELS):
-        part = slice(s, s + SLAB_PIXELS)
-        m = mask[part]
-        used = int(np.count_nonzero(m))
-        start, rank = rank, rank + used
-        stop = max(min(rank, end), start)
-        lo = min(-(-start // g) * g, stop)  # first group boundary in [start, stop]
-        hi = max(stop // g * g, lo)  # last one
-        runs = [(a - start, b - start, w, a // g)
-                for a, b, w in ((start, lo, lo - start), (lo, hi, g), (hi, stop, stop - hi))
-                if b > a]
-        yield part, m, used, runs
-
-
-def embed(key: RawImage, cover: RawImage, bits: np.ndarray, mask: np.ndarray,
+def embed(key: RawImage, cover: RawImage, bits: np.ndarray, full_well: int,
           block_pixels: int) -> RawImage:
     """Assemble the stego image: group b comes from the cover if bits[b] is
     1, from the key otherwise; everything outside the groups is the key."""
     check_same_dims(key, cover)
     g = block_pixels
-    mask = _flat_mask(mask, g, key.pixels.shape)
+    slabs = _slabs(key, full_well, g, np.size(bits) * g)
     bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
-    n_groups = int(np.count_nonzero(mask)) // g
-    if len(bits) != n_groups:
-        raise ValueError(f"bit vector length {len(bits)} != group count {n_groups}")
     out = key.pixels.copy()
     flat_out, flat_cover = out.reshape(-1), cover.pixels.reshape(-1)
-    for part, m, used, runs in _slabs(mask, g, n_groups):
+    rank = 0
+    for part, m, used, runs in slabs:
+        rank += used
         take = np.zeros(used, dtype=bool)
         for a, b, w, first in runs:
             take[a:b].reshape(-1, w)[...] = (bits[first:first + (b - a) // w] == 1)[:, None]
         where = np.zeros(m.shape, dtype=bool)
         where[m] = take
         np.copyto(flat_out[part], flat_cover[part], where=where)
+    if len(bits) != rank // g:
+        raise ValueError(f"bit vector length {len(bits)} != group count {rank // g}")
     return RawImage(width=key.width, height=key.height, pixels=out)
 
 
-def extract(stego: RawImage, key: RawImage, mask: np.ndarray,
+def extract(stego: RawImage, key: RawImage, full_well: int,
             block_pixels: int) -> DecodedBits:
     """Recover bits by comparison: a group decodes to 1 iff any of its
     pixels differs from the key."""
     check_same_dims(stego, key)
     g = block_pixels
-    mask = _flat_mask(mask, g, key.pixels.shape)
-    n_groups = int(np.count_nonzero(mask)) // g
-    bits = np.zeros(n_groups, dtype=np.uint8)
+    slabs = _slabs(key, full_well, g, key.pixel_count)
+    bits = np.zeros(key.pixel_count // g, dtype=np.uint8)  # room for every group
     flat_stego, flat_key = stego.pixels.reshape(-1), key.pixels.reshape(-1)
-    mismatches = 0
-    for part, m, _, runs in _slabs(mask, g, n_groups):
+    mismatches = rank = 0
+    for part, m, used, runs in slabs:
+        rank += used
         diff = flat_stego[part] != flat_key[part]
         mismatches += int(np.count_nonzero(diff))
         usable = diff[m]
         for a, b, w, first in runs:  # a group split over slabs ORs each part in
             bits[first:first + (b - a) // w] |= usable[a:b].reshape(-1, w).any(axis=1)
-    return DecodedBits(bits=bits, raw_mismatch_count=mismatches)
+    return DecodedBits(bits=bits[:rank // g], raw_mismatch_count=mismatches)
 
 
 def collision_rate(key: RawImage, cover: RawImage,
-                   mask: Optional[np.ndarray] = None) -> float:
-    """Fraction of (usable) pixels where the two captures agree exactly."""
-    check_same_dims(key, cover)
-    same = key.pixels == cover.pixels
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if not mask.any():
-            raise ValueError("mask leaves no usable pixels")
-        same = same[mask]
-    return float(np.mean(same))
+                   full_well: Optional[int] = None) -> float:
+    """Fraction of pixels where the two captures agree exactly: of every
+    pixel, or of the key's usable pixels if full_well is given."""
+    if full_well is None:
+        check_same_dims(key, cover)
+        return float(np.mean(key.pixels == cover.pixels))
+    differs = extract(cover, key, full_well, 1).bits  # one bit per usable pixel
+    if not len(differs):
+        raise ValueError("full_well leaves no usable pixels")
+    return float(np.mean(differs == 0))
 
 
 def expected_collision_rate(lam: float) -> float:

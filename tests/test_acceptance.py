@@ -143,17 +143,17 @@ def test_criterion_3_end_to_end_16kb_parity8_as_specified():
 
     def inspect(run, key, cover, payload, res, got):
         mask = stego.default_usable_mask(key, DEFAULT_FULL_WELL)
-        read = stego.extract(res.stego_image, key, mask, 1).bits
+        read = stego.extract(res.stego_image, key, DEFAULT_FULL_WELL, 1).bits
         collided = (key.pixels == cover.pixels)[mask]
         exact = np.array_equal(read, res.bits & ~collided)
         perm = codec.mixing_permutation(len(res.bits) // 8, run + 1)
-        sent = np.frombuffer(codec.gather(res.bits, perm, need), dtype=np.uint8)
-        seen = np.frombuffer(codec.gather(read, perm, need), dtype=np.uint8)
+        sent = np.frombuffer(codec.gather(res.bits, perm)[:need], dtype=np.uint8)
+        seen = np.frombuffer(codec.gather(read, perm)[:need], dtype=np.uint8)
         block_errors = np.add.reduceat(sent != seen, starts)
         exact_payload = got == payload
         loud = ((got is None or exact_payload)
                 and exact_payload == bool(block_errors.max() <= budget))
-        p = stego.collision_rate(key, cover, mask)
+        p = stego.collision_rate(key, cover, DEFAULT_FULL_WELL)
         q = 1.0 - (1.0 - p) ** (8 * np.unpackbits(sent).mean())
         tails = np.array([_binomial_tail(int(n), q, budget) for n in sizes])
         rows.append([exact, loud, block_errors.sum(), (block_errors > budget).sum(),
@@ -205,8 +205,7 @@ def test_criterion_4_wrong_key_failure(tmp_path):
         except DecodeError:
             failures += 1
         # raw leaked bits vs the truly embedded bits, pooled contingency
-        leaked = stego.extract(res.stego_image, third,
-                               stego.default_usable_mask(third, 50000), 1).bits
+        leaked = stego.extract(res.stego_image, third, 50000, 1).bits
         n = min(len(leaked), len(res.bits))
         a, b = res.bits[:n], leaked[:n]
         for i in (0, 1):
@@ -319,16 +318,17 @@ def test_criterion_7_normalized_deviation():
 def test_criterion_8_block_mode_capacity_and_robustness():
     t0 = time.time()
     scene = make_scene(4096, 4096, "flat", 10000)
-    mask = np.ones((4096, 4096), dtype=bool)
     total_bits = 0
     errors = 0
     pair_index = 0
     while total_bits < 1_000_000:
         key, cover = capture_pair(scene, SensorConfig(seed=80_000 + pair_index))
-        capacity = stego.capacity_bits(mask, 256)
+        # the flat scene keeps every pixel inside the usable rule
+        capacity = stego.capacity_bits(key, DEFAULT_FULL_WELL, 256)
         assert capacity == (4096 * 4096) // 256  # exactly floor(N / 256)
         bits = codec.keyed_filler_bits(capacity, pair_index)
-        got = stego.extract(stego.embed(key, cover, bits, mask, 256), key, mask, 256).bits
+        stego_img = stego.embed(key, cover, bits, DEFAULT_FULL_WELL, 256)
+        got = stego.extract(stego_img, key, DEFAULT_FULL_WELL, 256).bits
         errors += int(np.sum(got != bits))
         total_bits += capacity
         pair_index += 1

@@ -148,42 +148,59 @@ def test_stego_bytes_pinned(g):
 
 @pytest.fixture(scope="module")
 def exchange_2048():
-    """The arguments of each exchange call at 2048^2, g=16 and a 16 kB
-    payload at parity 32, on a gradient at mean 1000; and scatter at g=1."""
+    """Each exchange call at 2048^2, g=16 and a 16 kB payload at parity 32,
+    on a gradient at mean 1000, and scatter at g=1; each with the traced
+    peak allowed above what it returns."""
     key, cover = capture_pair(make_scene(2048, 2048, "gradient", 1000.0), SensorConfig(seed=5))
-    coded = codec.rs_encode(bytes(range(256)) * 64, 32)
-    mask = stego.default_usable_mask(key, 50000)
-    capacity = stego.capacity_bits(mask, 16)
+    payload = bytes(range(256)) * 64
+    coded = codec.rs_encode(payload, 32)
+    capacity = stego.capacity_bits(key, 50000, 16)
     perm = codec.mixing_permutation(capacity // 8, 3)
     bits = codec.scatter(coded, perm, capacity, 3)
-    stego_img = stego.embed(key, cover, bits, mask, 16)
-    capacity_g1 = stego.capacity_bits(mask, 1)
+    stego_img = stego.embed(key, cover, bits, 50000, 16)
+    capacity_g1 = stego.capacity_bits(key, 50000, 1)
     perm_g1 = codec.mixing_permutation(capacity_g1 // 8, 3)
+
+    def embed_message():
+        res = pipeline.embed_message(key, cover, payload, parity_symbols=32, mixing_seed=3,
+                                     block_pixels=16, full_well=50000)
+        return res.stego_image.pixels.nbytes + res.bits.nbytes
+
+    def extract_message():
+        got = pipeline.extract_message(stego_img, key, parity_symbols=32, mixing_seed=3,
+                                       block_pixels=16, full_well=50000)
+        assert got == payload
+        return len(got)
+
     return {
-        "default_usable_mask": lambda: stego.default_usable_mask(key, 50000),
-        "embed": lambda: stego.embed(key, cover, bits, mask, 16).pixels,
-        "extract": lambda: stego.extract(stego_img, key, mask, 16).bits,
-        "scatter": lambda: codec.scatter(coded, perm, capacity, 3),
-        "gather": lambda: codec.gather(bits, perm, capacity // 8),
-        "scatter g=1": lambda: codec.scatter(coded, perm_g1, capacity_g1, 3),
+        "default_usable_mask": (lambda: stego.default_usable_mask(key, 50000).nbytes, 2e6),
+        "embed": (lambda: stego.embed(key, cover, bits, 50000, 16).pixels.nbytes, 2e6),
+        "extract": (lambda: stego.extract(stego_img, key, 50000, 16).bits.nbytes, 2e6),
+        "scatter": (lambda: codec.scatter(coded, perm, capacity, 3).nbytes, 2e6),
+        "gather": (lambda: len(codec.gather(bits, perm)), 2e6),
+        "scatter g=1": (lambda: codec.scatter(coded, perm_g1, capacity_g1, 3).nbytes, 2e6),
+        "embed_message": (embed_message, 2e6),
+        "extract_message": (extract_message, 4e6),
     }
 
 
 @pytest.mark.parametrize("call", ["default_usable_mask", "embed", "extract", "scatter", "gather",
-                                  "scatter g=1"])
+                                  "scatter g=1", "embed_message", "extract_message"])
 def test_exchange_memory_stays_bounded(exchange_2048, call):
     """Each call of a 2048^2 exchange allocates little beyond what it
     returns: after a warm-up call, the traced peak is at most 2 MB above the
-    returned array (image-sized temporaries put 2.6 to 8.6 MB above it; a
-    bit-sized free mask and filler put 9.2 MB above the g=1 scatter)."""
-    run = exchange_2048[call]
+    returned arrays, 4 MB for extract_message, whose length search corrects
+    many candidate layouts at once (image-sized temporaries put 2.6 to 8.6
+    MB above the stego calls; a bit-sized free mask and filler put 9.2 MB
+    above the g=1 scatter; an image-sized usable mask put 5.2 MB above each
+    pipeline call)."""
+    run, bound = exchange_2048[call]
     run()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        out = run()
+        returned = run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    returned = len(out) if isinstance(out, bytes) else out.nbytes
-    assert peak - returned <= 2e6
+    assert peak - returned <= bound

@@ -12,7 +12,7 @@ from scipy import special
 from scipy import stats as sps
 
 from shotstego import codec, statcheck
-from shotstego.camera import SensorConfig, capture, capture_pair, make_scene
+from shotstego.camera import DEFAULT_FULL_WELL, SensorConfig, capture, capture_pair, make_scene
 from shotstego.imageio import RawImage, write_report
 from shotstego.statcheck import (
     CalibrationError,
@@ -488,7 +488,7 @@ def test_chi2_pvalue_equals_scipy_stats_reference(monkeypatch):
     """The statistic equals the float-count reference, and the p-value is
     scipy.stats.chi2.sf of it at its degrees of freedom, bit for bit, on
     clean, LSB, pixel-selection stego and pcb images."""
-    from shotstego.stego import embed
+    from shotstego.stego import capacity_bits, embed
     calls = []
 
     def spy(df, stat):
@@ -498,8 +498,8 @@ def test_chi2_pvalue_equals_scipy_stats_reference(monkeypatch):
     monkeypatch.setattr(statcheck, "chdtrc", spy)
     key, cover = capture_pair(make_scene(256, 256, "flat", LAM_DETECT), SensorConfig(seed=44))
     bits = codec.keyed_filler_bits(key.pixel_count, 44)
-    every_pixel = np.ones((256, 256), dtype=bool)
-    images = [key, lsb_embed(key, bits), embed(key, cover, bits, every_pixel, 1),
+    assert capacity_bits(key, DEFAULT_FULL_WELL, 1) == key.pixel_count  # every pixel usable
+    images = [key, lsb_embed(key, bits), embed(key, cover, bits, DEFAULT_FULL_WELL, 1),
               capture(make_scene(128, 128, "pcb", 3000), SensorConfig(seed=45), 0)]
     for img in images:
         p = chi_square_attack(img)
@@ -520,15 +520,15 @@ def test_chi2_quantum_stego_indistinguishable_from_clean():
     """Two-sample check: p-values on pixel-selection stego images agree with
     the clean ensemble (KS two-sample at the 1% level) and the verdict rates
     at p < 0.01 differ by at most 3 points."""
-    from shotstego.stego import embed
-    every_pixel = np.ones((256, 256), dtype=bool)
+    from shotstego.stego import capacity_bits, embed
     clean_ps, stego_ps = [], []
     for t in range(60):
         clean_ps.append(chi_square_attack(flat_capture(22000 + t)))
         key, cover = capture_pair(make_scene(256, 256, "flat", LAM_DETECT),
                                   SensorConfig(seed=23000 + t))
         bits = codec.keyed_filler_bits(key.pixel_count, t)
-        stego_img = embed(key, cover, bits, every_pixel, 1)
+        assert capacity_bits(key, DEFAULT_FULL_WELL, 1) == key.pixel_count  # every pixel usable
+        stego_img = embed(key, cover, bits, DEFAULT_FULL_WELL, 1)
         stego_ps.append(chi_square_attack(stego_img))
     assert sps.ks_2samp(clean_ps, stego_ps).pvalue > 0.01
     r_clean = np.mean(np.array(clean_ps) < 0.01)
@@ -573,8 +573,7 @@ def test_ward_passes_clean_images(calibration):
 
 def test_ward_quantum_stego_rates_match_clean(calibration):
     """Rates compared over 300 verdicts (150 per ensemble)."""
-    from shotstego.stego import embed
-    every_pixel = np.ones((256, 256), dtype=bool)
+    from shotstego.stego import capacity_bits, embed
     sus_clean = sus_stego = 0
     trials = 150
     for t in range(trials):
@@ -582,7 +581,8 @@ def test_ward_quantum_stego_rates_match_clean(calibration):
         key, cover = capture_pair(make_scene(256, 256, "flat", LAM_DETECT),
                                   SensorConfig(seed=28000 + t))
         bits = codec.keyed_filler_bits(key.pixel_count, 7000 + t)
-        stego_img = embed(key, cover, bits, every_pixel, 1)
+        assert capacity_bits(key, DEFAULT_FULL_WELL, 1) == key.pixel_count  # every pixel usable
+        stego_img = embed(key, cover, bits, DEFAULT_FULL_WELL, 1)
         sus_stego += ward_test(stego_img, calibration).verdict == "suspicious"
     assert abs(sus_clean - sus_stego) / trials <= 0.03  # within 3 points
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shotstego import codec, stego
-from shotstego.camera import SensorConfig, capture, capture_pair, make_scene
+from shotstego.camera import DEFAULT_FULL_WELL, SensorConfig, capture, capture_pair, make_scene
 from shotstego.imageio import RawImage
 from shotstego.stego import (
     capacity_bits,
@@ -20,15 +20,17 @@ def small_pair(seed=21, n=256, lam=10000, pattern="flat"):
     return capture_pair(scene, SensorConfig(seed=seed))
 
 
-def every_pixel(img):
-    return np.ones((img.height, img.width), dtype=bool)
+def every_pixel(img, g=1):
+    """The full well of a bright flat capture, after checking that the
+    usable rule then covers every pixel, so no test covers fewer."""
+    assert capacity_bits(img, DEFAULT_FULL_WELL, g) == img.pixel_count // g
+    return DEFAULT_FULL_WELL
 
 
 def test_all_zero_bits_returns_key():
     key, cover = small_pair()
-    mask = default_usable_mask(key, 50000)
-    bits = np.zeros(capacity_bits(mask, 1), dtype=np.uint8)
-    assert embed(key, cover, bits, mask, 1) == key
+    bits = np.zeros(capacity_bits(key, 50000, 1), dtype=np.uint8)
+    assert embed(key, cover, bits, 50000, 1) == key
 
 
 def test_all_one_bits_returns_cover():
@@ -58,10 +60,10 @@ def test_extract_recovers_bits_where_pixels_differ():
     """Residual error rate at g=1 equals the collision rate restricted to
     1-bits; direct count of agreeing pixels is the oracle."""
     key, cover = small_pair(seed=55, n=512)
-    mask = every_pixel(key)
+    full_well = every_pixel(key)
     bits = codec.keyed_filler_bits(key.pixel_count, 99)
-    stego_img = embed(key, cover, bits, mask, 1)
-    got = extract(stego_img, key, mask, 1).bits
+    stego_img = embed(key, cover, bits, full_well, 1)
+    got = extract(stego_img, key, full_well, 1).bits
     differs = (key.pixels != cover.pixels).reshape(-1)
     expect = bits & differs
     assert np.array_equal(got, expect)
@@ -76,21 +78,19 @@ def test_group_mode_g16_error_free():
     ~(2.8e-3)^16, so one million bits decode without a single error."""
     scene = make_scene(4096, 4096, "flat", 10000)
     key, cover = capture_pair(scene, SensorConfig(seed=60))
-    mask = every_pixel(key)
-    n_bits = capacity_bits(mask, 16)
-    assert n_bits == 4096 * 4096 // 16
-    bits = codec.keyed_filler_bits(n_bits, 3)
-    got = extract(embed(key, cover, bits, mask, 16), key, mask, 16).bits
+    full_well = every_pixel(key, 16)
+    bits = codec.keyed_filler_bits(4096 * 4096 // 16, 3)
+    got = extract(embed(key, cover, bits, full_well, 16), key, full_well, 16).bits
     assert np.array_equal(got, bits)
 
 
 def test_bit_error_rate_monotone_in_group_size():
     key, cover = small_pair(seed=70, n=1024)
     rates = []
-    mask = every_pixel(key)
     for g in (1, 2, 4, 16, 256):
-        bits = codec.keyed_filler_bits(capacity_bits(mask, g), g)
-        got = extract(embed(key, cover, bits, mask, g), key, mask, g).bits
+        full_well = every_pixel(key, g)
+        bits = codec.keyed_filler_bits(key.pixel_count // g, g)
+        got = extract(embed(key, cover, bits, full_well, g), key, full_well, g).bits
         rates.append(float(np.mean(got != bits)))
     assert all(a >= b for a, b in zip(rates, rates[1:]))
     assert rates[0] > 0
@@ -99,14 +99,14 @@ def test_bit_error_rate_monotone_in_group_size():
 
 def test_capacity_scaling_block_mode():
     key, _ = small_pair(seed=75, n=512)
-    assert capacity_bits(every_pixel(key), 256) == key.pixel_count // 256
+    assert capacity_bits(key, every_pixel(key), 256) == key.pixel_count // 256
 
 
 def test_masked_pixels_copied_from_key():
     key, cover = small_pair(seed=80, n=64, lam=10000, pattern="pcb")
     mask = default_usable_mask(key, 50000)
-    bits = np.ones(capacity_bits(mask, 1), dtype=np.uint8)
-    out = embed(key, cover, bits, mask, 1).pixels
+    bits = np.ones(capacity_bits(key, 50000, 1), dtype=np.uint8)
+    out = embed(key, cover, bits, 50000, 1).pixels
     assert np.array_equal(out[~mask], key.pixels[~mask])
 
 
@@ -120,40 +120,46 @@ def test_default_mask_excludes_saturated_and_dark():
 
 def test_embed_validates_lengths_and_dims():
     key, cover = small_pair(seed=82, n=32)
-    mask = every_pixel(key)
-    with pytest.raises(ValueError):
-        embed(key, cover, np.zeros(5, dtype=np.uint8), mask, 1)
+    full_well = every_pixel(key)
+    with pytest.raises(ValueError, match="bit vector length"):
+        embed(key, cover, np.zeros(5, dtype=np.uint8), full_well, 1)
     other = RawImage(width=16, height=16,
                      pixels=np.zeros((16, 16), dtype=np.uint16))
     with pytest.raises(ValueError):
-        embed(key, other, np.zeros(key.pixel_count, dtype=np.uint8), mask, 1)
+        embed(key, other, np.zeros(key.pixel_count, dtype=np.uint8), full_well, 1)
     with pytest.raises(ValueError):
-        extract(other, key, mask, 1)
+        extract(other, key, full_well, 1)
 
 
 @pytest.mark.parametrize("g", [0, -3])
 def test_block_pixels_below_1_rejected(g):
     key, cover = small_pair(seed=84, n=16)
-    mask = every_pixel(key)
+    full_well = every_pixel(key)
     with pytest.raises(ValueError, match="block_pixels"):
-        capacity_bits(mask, g)
+        capacity_bits(key, full_well, g)
     with pytest.raises(ValueError, match="block_pixels"):
-        embed(key, cover, np.zeros(0, dtype=np.uint8), mask, g)
+        embed(key, cover, np.zeros(0, dtype=np.uint8), full_well, g)
     with pytest.raises(ValueError, match="block_pixels"):
-        extract(cover, key, mask, g)
+        extract(cover, key, full_well, g)
 
 
-@pytest.mark.parametrize("shape", [(16, 8), (8, 16), (256,), (16, 16, 1), ()])
-def test_mask_of_wrong_shape_rejected(shape):
-    key, cover = small_pair(seed=85, n=16)
-    mask = np.ones(shape, dtype=bool)
-    with pytest.raises(ValueError, match="mask"):
-        embed(key, cover, np.zeros(mask.size, dtype=np.uint8), mask, 1)
-    with pytest.raises(ValueError, match="mask"):
-        extract(cover, key, mask, 1)
-    if len(shape) != 2:
-        with pytest.raises(ValueError, match="mask"):
-            capacity_bits(mask, 1)
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_bit_vector_of_wrong_length_rejected(delta):
+    """The group count is known only after the walk; a vector one bit short
+    or one bit long is refused all the same."""
+    key, cover = small_pair(seed=85, n=64, pattern="pcb")
+    n_groups = capacity_bits(key, 50000, 3)
+    with pytest.raises(ValueError, match=f"length {n_groups + delta} != group count {n_groups}"):
+        embed(key, cover, np.ones(n_groups + delta, dtype=np.uint8), 50000, 3)
+
+
+def test_collision_rate_over_usable_pixels():
+    key, cover = small_pair(seed=88, n=64, pattern="pcb")
+    mask = default_usable_mask(key, 50000)
+    assert collision_rate(key, cover, 50000) == float(np.mean((key.pixels == cover.pixels)[mask]))
+    dark = RawImage(width=8, height=8, pixels=np.full((8, 8), 15, dtype=np.uint16))
+    with pytest.raises(ValueError, match="no usable pixels"):
+        collision_rate(dark, dark, 50000)
 
 
 @settings(max_examples=200, deadline=None)
@@ -161,7 +167,8 @@ def test_mask_of_wrong_shape_rejected(shape):
        data=st.data())
 def test_grouping_matches_per_group_reference(h, w, g, data):
     """Bit b owns usable pixels flatnonzero(mask)[b*g:(b+1)*g]: embed and
-    extract agree with that rule applied group by group."""
+    extract agree with that rule applied group by group. The key is dark
+    (below 16) exactly where the drawn mask is False."""
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w)),
                     dtype=bool).reshape(h, w)
     usable = np.flatnonzero(mask)
@@ -170,35 +177,40 @@ def test_grouping_matches_per_group_reference(h, w, g, data):
                                        max_size=len(groups))), dtype=np.uint8)
     r = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     key, cover, other = (RawImage(width=w, height=h,
-                                  pixels=r.integers(0, 3, (h, w), dtype=np.uint16))
+                                  pixels=(r.integers(0, 3, (h, w)) + 16 * mask).astype(np.uint16))
                          for _ in range(3))
+    assert np.array_equal(default_usable_mask(key, 65535), mask)
 
     expect = key.pixels.reshape(-1).copy()
     for bit, group in zip(bits, groups):
         if bit:
             expect[group] = cover.pixels.reshape(-1)[group]
-    assert np.array_equal(embed(key, cover, bits, mask, g).pixels.reshape(-1), expect)
+    assert np.array_equal(embed(key, cover, bits, 65535, g).pixels.reshape(-1), expect)
     differs = (other.pixels != key.pixels).reshape(-1)
     expect_bits = [int(differs[group].any()) for group in groups]
-    assert extract(other, key, mask, g).bits.tolist() == expect_bits
+    assert extract(other, key, 65535, g).bits.tolist() == expect_bits
 
 
 @pytest.fixture(scope="module")
 def multi_slab_images():
     """A seeded 2100x1100 key over at least three slabs, with a cover and a
-    third image that differ from it at sparse pixels, and a usable mask
-    whose second slab has no usable pixel and third slab only ten."""
+    third image that differ from it at sparse pixels, and the key's usable
+    mask below full well 65535: the key is dark (below 16) exactly where
+    the mask is False, and the mask's second slab has no usable pixel and
+    its third slab only ten."""
     h, w, slab = 1100, 2100, stego.SLAB_PIXELS
     assert h * w > 2 * slab
     r = np.random.default_rng(2024)
-    key = r.integers(0, 40, (h, w), dtype=np.uint16)
-    cover, other = (key + (r.random((h, w)) < 3e-4) for _ in range(2))
+    raw = r.integers(0, 40, (h, w), dtype=np.uint16)
+    bumps = [r.random((h, w)) < 3e-4 for _ in range(2)]
     flat = r.random(h * w) < 0.7
     flat[slab:2 * slab] = False
     flat[2 * slab:3 * slab] = False
     flat[2 * slab + r.choice(min(slab, h * w - 2 * slab), 10, replace=False)] = True
-    return tuple(RawImage(width=w, height=h, pixels=px) for px in (key, cover, other)) + (
-        flat.reshape(h, w),)
+    mask = flat.reshape(h, w)
+    key = np.where(mask, 16 + raw % 24, raw % 16).astype(np.uint16)
+    cover, other = (key + bump for bump in bumps)
+    return tuple(RawImage(width=w, height=h, pixels=px) for px in (key, cover, other)) + (mask,)
 
 
 @pytest.mark.parametrize("g", [1, 3, 16, 4099])
@@ -214,11 +226,12 @@ def test_grouping_matches_reference_across_slabs(multi_slab_images, g):
     expect = key.pixels.reshape(-1).copy()
     chosen = groups[bits == 1].reshape(-1)
     expect[chosen] = cover.pixels.reshape(-1)[chosen]
-    stego_img = embed(key, cover, bits, mask, g)
+    assert capacity_bits(key, 65535, g) == len(groups)
+    stego_img = embed(key, cover, bits, 65535, g)
     assert np.array_equal(stego_img.pixels.reshape(-1), expect)
     for seen in (stego_img, other):
         differs = (seen.pixels != key.pixels).reshape(-1)
-        decoded = extract(seen, key, mask, g)
+        decoded = extract(seen, key, 65535, g)
         assert np.array_equal(decoded.bits, differs[groups].any(axis=1))
         assert decoded.raw_mismatch_count == np.count_nonzero(differs)
     assert 0 < decoded.bits.sum() < len(groups)
@@ -229,13 +242,24 @@ def test_default_mask_across_slabs(multi_slab_images, full_well):
     px = multi_slab_images[0].pixels
     mask = default_usable_mask(multi_slab_images[0], full_well)
     assert np.array_equal(mask, (px < full_well) & (px >= 16))
+    if full_well == 65535:
+        assert np.array_equal(mask, multi_slab_images[3])
 
 
 @pytest.mark.parametrize("full_well", [0, -3, 65536, 70000])
 def test_default_mask_rejects_full_well_out_of_range(full_well):
-    key, _ = small_pair(seed=86, n=16)
+    """Every function that applies the usable rule refuses the full well."""
+    key, cover = small_pair(seed=86, n=16)
     with pytest.raises(ValueError, match="full_well"):
         default_usable_mask(key, full_well)
+    with pytest.raises(ValueError, match="full_well"):
+        capacity_bits(key, full_well, 1)
+    with pytest.raises(ValueError, match="full_well"):
+        embed(key, cover, np.zeros(key.pixel_count, dtype=np.uint8), full_well, 1)
+    with pytest.raises(ValueError, match="full_well"):
+        extract(cover, key, full_well, 1)
+    with pytest.raises(ValueError, match="full_well"):
+        collision_rate(key, cover, full_well)
 
 
 def test_collision_rate_identity_and_saturated():
@@ -276,10 +300,11 @@ def test_wrong_key_bits_carry_no_payload(collision_oracle):
     sensor = SensorConfig(seed=90)
     key, cover = capture_pair(scene, sensor)
     third = capture(scene, sensor, 2)
-    mask = every_pixel(key)
+    full_well = every_pixel(key)
+    assert every_pixel(third) == full_well
     bits = codec.keyed_filler_bits(key.pixel_count, 17)
-    stego_img = embed(key, cover, bits, mask, 1)
-    leaked = extract(stego_img, third, mask, 1).bits
+    stego_img = embed(key, cover, bits, full_well, 1)
+    leaked = extract(stego_img, third, full_well, 1).bits
     ones = float(np.mean(leaked))
     assert abs(ones - (1.0 - collision_oracle(10000.0))) < 5e-4
     mi = _plugin_mi(bits, leaked)
