@@ -14,10 +14,13 @@ percentile under a null distribution calibrated from clean simulated
 captures. No fixed thresholds; the simulator is its own control.
 
 Each statistic has one implementation, a method of the battery's work set
-(`_WorkSet`). The public functions make a work set for one call;
-build_calibration and ward_test make one per call and reuse it for every
-image they judge. The work set walks the images in slabs of at most
-2^16 pixels, so no work array grows with the image.
+(`_WorkSet`); the public functions make a work set for one call. One more
+method, `judge`, runs the battery on every image that build_calibration and
+ward_test judge, so the verdict computes exactly what the calibration
+recorded as the null. The list of statistics is the table `_NULLS`: a new
+statistic is one entry there, one line in `judge` and a stated change of
+the calibration file format. The work set walks the images in slabs of at
+most 2^16 pixels, so no work array grows with the image.
 
 The two pair statistics come from one walk over the pair, as exact integer
 sums: every term is an integer below 2^32 and no slab adds more than 2^20
@@ -262,6 +265,26 @@ class _WorkSet:
             sums.dark += int(np.count_nonzero(dark))
         return sums
 
+    def judge(self, img: RawImage, ref_hist: Histogram,
+              partner: Optional[RawImage]) -> tuple[dict, float, Optional[_PairSums]]:
+        """The battery on one image: KL against ref_hist and the chi-square
+        from one count of its values, then the pair statistics of (img,
+        partner) if a partner is given. Returns each statistic in the space
+        of its null, by its name in _NULLS, the chi-square p-value and the
+        pair sums (None without a partner)."""
+        n = img.pixel_count
+        counts = self.value_counts(img)
+        kl = self.kl_bits(_binned(counts, n, ref_hist.bin_width), ref_hist, KL_SMOOTHING)
+        p = self.chi2_pvalue(counts, n)
+        del counts  # not held through the pair statistics or the next count
+        stats = {"kl": kl, "chi2_logp": -math.log10(max(p, 1e-300))}
+        pair = None
+        if partner is not None:
+            pair = self.pair_sums(img, partner, AUTOCORR_LAGS)
+            stats["autocorr_max"] = float(np.max(np.abs(pair.autocorrelation())))
+            stats["normdev_dev"] = abs(pair.normalized_deviation() - 1.0)
+        return stats, p, pair
+
 
 # ---------------------------------------------------------------------------
 # Histograms and KL divergence
@@ -276,6 +299,10 @@ class Histogram:
     bin_width: int
     counts: np.ndarray
     total: int
+
+    def __post_init__(self):
+        if self.bin_width < 1:
+            raise ValueError("bin_width must be >= 1")
 
     @property
     def bin_edges(self) -> np.ndarray:
@@ -292,10 +319,7 @@ def _binned(counts: np.ndarray, total: int, bin_width: int) -> Histogram:
 
 def histogram(img: RawImage, bin_width: int = 1) -> Histogram:
     """Histogram of the image's pixel values; bins of bin_width counts."""
-    if bin_width < 1:
-        raise ValueError("bin_width must be >= 1")
-    counts = _WorkSet().value_counts(img)
-    return _binned(counts, img.pixel_count, bin_width)
+    return _binned(_WorkSet().value_counts(img), img.pixel_count, bin_width)
 
 
 def kl_divergence(p_hist: Histogram, q_hist: Histogram,
@@ -311,8 +335,7 @@ def kl_divergence(p_hist: Histogram, q_hist: Histogram,
     """
     if smoothing <= 0:
         raise ValueError("smoothing must be > 0")
-    nbins = len(p_hist.counts)
-    if p_hist.bin_width != q_hist.bin_width or nbins != len(q_hist.counts):
+    if p_hist.bin_width != q_hist.bin_width or len(p_hist.counts) != len(q_hist.counts):
         raise ValueError("histograms use different binning")
     return _WorkSet().kl_bits(p_hist, q_hist, smoothing)
 
@@ -414,17 +437,14 @@ class Calibration:
                          total=int(self.reference_counts.sum()))
 
     def threshold(self, name: str) -> float:
-        null = {
-            "kl": self.kl_null,
-            "chi2_logp": self.chi2_logp_null,
-            "autocorr_max": self.autocorr_max_null,
-            "normdev_dev": self.normdev_dev_null,
-        }[name]
-        return float(np.percentile(null, 99))
+        return float(np.percentile(getattr(self, _NULLS[name][0]), 99))
 
 
-def _chi2_logp(p: float) -> float:
-    return -math.log10(max(p, 1e-300))
+# The battery's statistics in the calibration file's order: name -> the
+# Calibration field of its null, and whether that has a sample per run or per pair.
+_NULLS = {"kl": ("kl_null", True), "chi2_logp": ("chi2_logp_null", True),
+          "autocorr_max": ("autocorr_max_null", False),
+          "normdev_dev": ("normdev_dev_null", False)}
 
 
 def build_calibration(scene: SceneRadiance, sensor: SensorConfig,
@@ -432,36 +452,26 @@ def build_calibration(scene: SceneRadiance, sensor: SensorConfig,
     """Calibrate the battery's null distributions from clean captures.
 
     Capture 0 becomes the KL reference; captures 1..runs provide the KL
-    and chi-square nulls; the pairs (i - 1, i) for even i feed the
+    and chi-square nulls; the pairs (i, i - 1) for even i feed the
     pair-statistic nulls. Only the reference histogram and the previous
     capture are held, with one work set for the camera and one for the
     statistics.
     """
     if runs < 2:
         raise CalibrationError("calibration needs at least 2 runs")
-    n = scene.width * scene.height
     work = _WorkSet()
     shots = captures(scene, sensor, range(runs + 1))
     prev = next(shots)
-    ref = _binned(work.value_counts(prev), n, bin_width)
-    kl_null, chi2_null, ac_null, nd_null = [], [], [], []
+    ref = _binned(work.value_counts(prev), prev.pixel_count, bin_width)
+    nulls = {name: [] for name in _NULLS}
     for i, im in enumerate(shots, start=1):
-        counts = work.value_counts(im)
-        kl_null.append(work.kl_bits(_binned(counts, n, bin_width), ref, KL_SMOOTHING))
-        chi2_null.append(_chi2_logp(work.chi2_pvalue(counts, n)))
-        del counts  # not held through the pair statistics or the next count
-        if i % 2 == 0:
-            pair = work.pair_sums(prev, im, AUTOCORR_LAGS)
-            ac_null.append(float(np.max(np.abs(pair.autocorrelation()))))
-            nd_null.append(abs(pair.normalized_deviation() - 1.0))
+        for name, value in work.judge(im, ref, prev if i % 2 == 0 else None)[0].items():
+            nulls[name].append(value)
         prev = im
     desc = f"{scene.width}x{scene.height} mean_lambda={scene.lam.mean():.6g}"
     return Calibration(
-        scene_desc=desc, n_runs=runs, bin_width=bin_width,
-        reference_counts=ref.counts,
-        kl_null=np.array(kl_null), chi2_logp_null=np.array(chi2_null),
-        autocorr_max_null=np.array(ac_null), normdev_dev_null=np.array(nd_null),
-    )
+        scene_desc=desc, n_runs=runs, bin_width=bin_width, reference_counts=ref.counts,
+        **{fld: np.array(nulls[name]) for name, (fld, _) in _NULLS.items()})
 
 
 def ward_test(img: RawImage, calibration: Optional[Calibration],
@@ -476,34 +486,18 @@ def ward_test(img: RawImage, calibration: Optional[Calibration],
     if calibration is None:
         raise CalibrationError("ward_test requires calibration data")
     if calibration.n_runs < 100:
-        raise CalibrationError(
-            f"calibration built from {calibration.n_runs} runs; need >= 100"
-        )
+        raise CalibrationError(f"calibration built from {calibration.n_runs} runs; need >= 100")
+    stats, chi2_p, pair = _WorkSet().judge(img, calibration.reference_hist(), reference)
     n = img.pixel_count
-    work = _WorkSet()
-    counts = work.value_counts(img)
-    kl = work.kl_bits(_binned(counts, n, calibration.bin_width), calibration.reference_hist(),
-                      KL_SMOOTHING)
-    chi2_p = work.chi2_pvalue(counts, n)
-    sizes = {"kl": img.pixel_count, "chi2": img.pixel_count}
-    exceed = [
-        kl > calibration.threshold("kl"),
-        _chi2_logp(chi2_p) > calibration.threshold("chi2_logp"),
-    ]
-    ac: tuple = ()
-    nd = math.nan
-    if reference is not None:
-        pair = work.pair_sums(img, reference, AUTOCORR_LAGS)
-        rho = pair.autocorrelation()
-        nd = pair.normalized_deviation()
-        ac = tuple(float(v) for v in rho)
-        sizes["autocorr"] = img.pixel_count
-        sizes["norm_dev"] = pair.bright
-        exceed.append(float(np.max(np.abs(rho))) > calibration.threshold("autocorr_max"))
-        exceed.append(abs(nd - 1.0) > calibration.threshold("normdev_dev"))
-    verdict = "suspicious" if any(exceed) else "clean"
-    return AnalysisReport(kl_bits=kl, autocorr=ac, norm_dev=nd,
-                          chi2_pvalue=chi2_p, verdict=verdict, sample_sizes=sizes)
+    suspicious = any(value > calibration.threshold(name) for name, value in stats.items())
+    report = AnalysisReport(kl_bits=stats["kl"], autocorr=(), norm_dev=math.nan, chi2_pvalue=chi2_p,
+                            verdict="suspicious" if suspicious else "clean",
+                            sample_sizes={"kl": n, "chi2": n})
+    if pair is not None:
+        report.autocorr = tuple(pair.autocorrelation().tolist())
+        report.norm_dev = pair.normalized_deviation()
+        report.sample_sizes.update(autocorr=n, norm_dev=pair.bright)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -521,17 +515,10 @@ def write_calibration(cal: Calibration) -> bytes:
         f"bin_width {cal.bin_width}",
         f"reference_total {int(cal.reference_counts.sum())}",
     ]
-    for name, arr in (
-        ("kl_null", cal.kl_null),
-        ("chi2_logp_null", cal.chi2_logp_null),
-        ("autocorr_max_null", cal.autocorr_max_null),
-        ("normdev_dev_null", cal.normdev_dev_null),
-    ):
-        lines.append(name + " " + " ".join(f"{v:.9g}" for v in arr))
-    nz = np.flatnonzero(cal.reference_counts)
+    for fld, _ in _NULLS.values():
+        lines.append(fld + " " + " ".join(f"{v:.9g}" for v in getattr(cal, fld)))
     lines.append("reference_counts " + " ".join(
-        f"{i}:{cal.reference_counts[i]}" for i in nz
-    ))
+        f"{i}:{cal.reference_counts[i]}" for i in np.flatnonzero(cal.reference_counts)))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -594,11 +581,8 @@ def read_calibration(data: bytes) -> Calibration:
             n_runs=runs,
             bin_width=bin_width,
             reference_counts=counts,
-            kl_null=_parse_null(fields, "kl_null", runs),
-            chi2_logp_null=_parse_null(fields, "chi2_logp_null", runs),
-            autocorr_max_null=_parse_null(fields, "autocorr_max_null", runs // 2),
-            normdev_dev_null=_parse_null(fields, "normdev_dev_null", runs // 2),
-        )
+            **{fld: _parse_null(fields, fld, runs if per_run else runs // 2)
+               for fld, per_run in _NULLS.values()})
     except CalibrationError:
         raise
     except KeyError as exc:

@@ -12,12 +12,18 @@ sum_k P(count=k)^2 of the per-pixel count distribution (~0.28% at a mean of
 1e4 photons); for g pixels per bit it falls like that number to the g-th
 power, which is the capacity-for-robustness trade of block mode.
 
-Both directions share one grouping rule: the usable pixels, in row-major
-order, are cut into runs of g and bit b owns run b; leftover usable pixels
-and unusable pixels always come from the key. A pixel is usable if
-DARK_FLOOR <= K < full_well: saturated pixels (pinned at the full well in
-both captures) and dark ones (no photon noise to hide in) are left out.
-The key and the full well alone decide, so both sides find the same pixels.
+Both directions share one grouping rule: the key's usable pixels, in
+row-major order, are cut into runs of g and bit b owns run b; leftover
+usable pixels and unusable pixels always come from the key. A value v is
+usable if DARK_FLOOR <= v < full_well: saturated pixels (pinned at the full
+well in both captures) and dark ones (no photon noise to hide in) are left
+out. The key and the full well alone decide, so both sides find the same
+pixels. The embedder takes a cover pixel only where the cover is usable
+too, which makes the rule symmetric in the two captures, independent draws
+of one law P: with p = P(usable), a usable x stays from the key with
+probability P(x)(1 - bp) and comes from the cover with probability bp P(x),
+an unusable x only from the key, so P(S = x) = P(x) for any share b of
+1-bits. A 1-bit whose cover pixels are all unusable reads as 0.
 
 One walker, `_slabs`, evaluates that rule for every pass over the image. It
 walks the key's flat pixels in slabs of SLAB_PIXELS, so its temporaries are
@@ -52,6 +58,13 @@ class DecodedBits:
     raw_mismatch_count: int
 
 
+def _usable(px: np.ndarray, full_well: int, out: np.ndarray) -> np.ndarray:
+    """Flag into out the pixels that can carry a bit: DARK_FLOOR <= px < full_well."""
+    np.less(px, full_well, out=out)
+    out &= px >= DARK_FLOOR
+    return out
+
+
 def _slabs(key: RawImage, full_well: int, g: int = 1, limit: int = 0):
     """Walk the key in slabs, flagging its usable pixels. A full well
     outside [1, 65535] or g < 1 is refused on the call, before any slab.
@@ -74,9 +87,7 @@ def _slabs(key: RawImage, full_well: int, g: int = 1, limit: int = 0):
         rank = 0
         for s in range(0, px.size, SLAB_PIXELS):
             k = px[s:s + SLAB_PIXELS]
-            m = flags[:k.size]
-            np.less(k, full_well, out=m)
-            m &= k >= DARK_FLOOR
+            m = _usable(k, full_well, flags[:k.size])
             used = int(np.count_nonzero(m))
             start, rank = rank, rank + used
             stop = max(min(rank, end), start)
@@ -93,9 +104,8 @@ def _slabs(key: RawImage, full_well: int, g: int = 1, limit: int = 0):
 def default_usable_mask(key: RawImage, full_well: int) -> np.ndarray:
     """The usable pixels of the key as a (height, width) boolean array."""
     out = np.empty(key.pixels.shape, dtype=bool)
-    flat = out.reshape(-1)
     for part, m, _, _ in _slabs(key, full_well):
-        flat[part] = m
+        out.reshape(-1)[part] = m
     return out
 
 
@@ -106,14 +116,15 @@ def capacity_bits(key: RawImage, full_well: int, block_pixels: int) -> int:
 
 def embed(key: RawImage, cover: RawImage, bits: np.ndarray, full_well: int,
           block_pixels: int) -> RawImage:
-    """Assemble the stego image: group b comes from the cover if bits[b] is
-    1, from the key otherwise; everything outside the groups is the key."""
+    """Assemble the stego image: a pixel of group b is the cover's if bits[b]
+    is 1 and the cover is usable there; every other pixel is the key's."""
     check_same_dims(key, cover)
     g = block_pixels
     slabs = _slabs(key, full_well, g, np.size(bits) * g)
     bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
-    out = key.pixels.copy()
-    flat_out, flat_cover = out.reshape(-1), cover.pixels.reshape(-1)
+    out = np.empty(key.pixels.shape, dtype=key.pixels.dtype)
+    flat_out, flat_key, flat_cover = (im.reshape(-1) for im in (out, key.pixels, cover.pixels))
+    cover_flags = np.empty(min(out.size, SLAB_PIXELS), dtype=bool)
     rank = 0
     for part, m, used, runs in slabs:
         rank += used
@@ -122,7 +133,12 @@ def embed(key: RawImage, cover: RawImage, bits: np.ndarray, full_well: int,
             take[a:b].reshape(-1, w)[...] = (bits[first:first + (b - a) // w] == 1)[:, None]
         where = np.zeros(m.shape, dtype=bool)
         where[m] = take
-        np.copyto(flat_out[part], flat_cover[part], where=where)
+        k, c = flat_key[part], flat_cover[part]
+        where &= _usable(c, full_well, cover_flags[:m.size])
+        # k ^ ((k ^ c) * where) in place: a masked copy mispredicts a branch per pixel
+        o = np.bitwise_xor(k, c, out=flat_out[part])
+        o *= where
+        o ^= k
     if len(bits) != rank // g:
         raise ValueError(f"bit vector length {len(bits)} != group count {rank // g}")
     return RawImage(width=key.width, height=key.height, pixels=out)
@@ -165,8 +181,8 @@ def expected_collision_rate(lam: float) -> float:
     """Analytic probability that two independent Poisson(lam) draws agree:
     sum_k (e^-lam lam^k / k!)^2, truncated at lam +- 12 sqrt(lam) (at least
     [0, 40]), relative error below 1e-6. Planning aid for parity sizing."""
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     if lam == 0:
         return 1.0
     half = 12.0 * math.sqrt(lam)

@@ -75,6 +75,20 @@ def test_histogram_equals_binned_bincount(bin_width):
     assert np.array_equal(hist.bin_edges, np.arange(nbins + 1) * bin_width)
 
 
+@pytest.mark.parametrize("bin_width", [0, -3])
+def test_bin_width_below_1_refused_by_every_histogram(bin_width):
+    """A histogram refuses a bin width below 1 wherever it is made, so
+    build_calibration cannot return a calibration that read_calibration
+    refuses once written."""
+    with pytest.raises(ValueError, match="bin_width must be >= 1"):
+        build_calibration(make_scene(64, 64, "flat", LAM_DETECT), SensorConfig(seed=1),
+                          runs=2, bin_width=bin_width)
+    with pytest.raises(ValueError, match="bin_width must be >= 1"):
+        histogram(flat_capture(1, n=8), bin_width)
+    with pytest.raises(ValueError, match="bin_width must be >= 1"):
+        statcheck.Histogram(bin_width=bin_width, counts=np.zeros(4, dtype=np.int64), total=0)
+
+
 def test_histogram_of_shot_noise_capture():
     """Mean within 1e4 +- 3 and standard deviation within 100 +- 2 on a
     1e5-pixel region of a flat lambda=1e4 capture."""
@@ -714,6 +728,23 @@ def test_calibration_equals_public_statistics_loop():
     assert [len(v) for v in got] == [12, 12, 6, 6]
     for a, b in zip(got, nulls):
         assert np.array_equal(a, b)
+
+
+def test_verdict_reproduces_calibration():
+    """ward_test computes exactly what build_calibration recorded as the
+    null: judging capture i against capture i - 1 gives run i's KL and
+    chi-square samples and, for even i, pair i / 2's pair samples, to the
+    last bit."""
+    scene = make_scene(128, 128, "gradient", 100.0)
+    sensor = SensorConfig(seed=4242, read_noise_sigma=1.0)
+    cal = build_calibration(scene, sensor, runs=100, bin_width=3)
+    for i in (2, 50, 100):
+        report = ward_test(capture(scene, sensor, i), cal,
+                           reference=capture(scene, sensor, i - 1))
+        assert report.kl_bits == cal.kl_null[i - 1]
+        assert -math.log10(max(report.chi2_pvalue, 1e-300)) == cal.chi2_logp_null[i - 1]
+        assert max(abs(v) for v in report.autocorr) == cal.autocorr_max_null[i // 2 - 1]
+        assert abs(report.norm_dev - 1.0) == cal.normdev_dev_null[i // 2 - 1]
 
 
 def test_concurrent_calibrations_equal_serial_ones():

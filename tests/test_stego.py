@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -279,6 +281,15 @@ def test_collision_rate_flat_vs_analytic(flat_pair_1m, collision_oracle):
 
 def test_expected_collision_rate_lambda_zero():
     assert expected_collision_rate(0.0) == 1.0
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0])
+def test_expected_collision_rate_refuses_bad_lambda(lam):
+    """A non-finite or negative lambda is refused with the function's own
+    message (NaN and +inf raised numpy's "cannot convert float NaN to
+    integer")."""
+    with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+        expected_collision_rate(lam)
 
 
 def test_expected_collision_rate_against_brute_force(collision_oracle):
