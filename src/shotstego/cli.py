@@ -27,7 +27,7 @@ import sys
 from . import codec, pipeline, statcheck
 from .camera import DEFAULT_FULL_WELL, SensorConfig, capture, capture_pair, make_scene
 from .codec import CodecError, DecodeError
-from .imageio import PgmFormatError, read_pgm16, write_pgm16, write_report
+from .imageio import PGM_MAXVAL, PgmFormatError, read_pgm16, write_pgm16, write_report
 from .statcheck import CalibrationError
 
 
@@ -89,13 +89,15 @@ def _add_sensor_flags(p: _Parser) -> None:
     p.add_argument("--seed", type=int, default=1)
 
 
-def _int_at_least(low: int):
-    """An argparse type: an int of at least `low`; a smaller value is a
-    usage error (exit 1) like any other bad flag."""
+def _int_in(low: int, high: float = float("inf")):
+    """An argparse type: an int in [low, high]; any other value is a usage
+    error (exit 1) like any other bad flag."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
@@ -104,7 +106,7 @@ def _int_at_least(low: int):
 def _add_plan_flags(p: _Parser) -> None:
     p.add_argument("--parity-symbols", type=int, default=8)
     p.add_argument("--mixing-seed", type=int, default=1)
-    p.add_argument("--block-pixels", type=_int_at_least(1), default=1)
+    p.add_argument("--block-pixels", type=_int_in(1), default=1)
     p.add_argument("--full-well", type=int, default=DEFAULT_FULL_WELL,
                    help="full well that bounds the usable pixels")
 
@@ -150,14 +152,14 @@ def build_parser() -> _Parser:
     p.add_argument("--image", required=True)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--bin-width", type=_int_at_least(1), default=1)
+    p.add_argument("--bin-width", type=_int_in(1, PGM_MAXVAL + 1), default=1)
 
     p = sub.add_parser("calibrate", help="build battery null distributions "
                                          "from clean simulated captures")
     _add_scene_flags(p)
     _add_sensor_flags(p)
-    p.add_argument("--runs", type=_int_at_least(2), default=100)
-    p.add_argument("--bin-width", type=_int_at_least(1), default=1)
+    p.add_argument("--runs", type=_int_in(2), default=100)
+    p.add_argument("--bin-width", type=_int_in(1, PGM_MAXVAL + 1), default=1)
     p.add_argument("--calibration-out", required=True)
 
     return parser

@@ -301,12 +301,19 @@ class Histogram:
     total: int
 
     def __post_init__(self):
-        if self.bin_width < 1:
-            raise ValueError("bin_width must be >= 1")
+        _check_bin_width(self.bin_width)
 
     @property
     def bin_edges(self) -> np.ndarray:
         return np.arange(len(self.counts) + 1, dtype=np.int64) * self.bin_width
+
+
+def _check_bin_width(bin_width: int) -> None:
+    """Bin widths lie in [1, 65536]: one bin of 65536 already holds every value."""
+    if bin_width < 1:
+        raise ValueError("bin_width must be >= 1")
+    if bin_width > _NVALUES:
+        raise ValueError(f"bin_width must be <= {_NVALUES}, got {bin_width}")
 
 
 def _binned(counts: np.ndarray, total: int, bin_width: int) -> Histogram:
@@ -319,6 +326,7 @@ def _binned(counts: np.ndarray, total: int, bin_width: int) -> Histogram:
 
 def histogram(img: RawImage, bin_width: int = 1) -> Histogram:
     """Histogram of the image's pixel values; bins of bin_width counts."""
+    _check_bin_width(bin_width)
     return _binned(_WorkSet().value_counts(img), img.pixel_count, bin_width)
 
 
@@ -333,8 +341,8 @@ def kl_divergence(p_hist: Histogram, q_hist: Histogram,
     terms are summed over all bins in one pass, which gives the same float
     as evaluating every bin.
     """
-    if smoothing <= 0:
-        raise ValueError("smoothing must be > 0")
+    if not 0 < smoothing < math.inf:
+        raise ValueError(f"smoothing must be finite and > 0, got {smoothing}")
     if p_hist.bin_width != q_hist.bin_width or len(p_hist.counts) != len(q_hist.counts):
         raise ValueError("histograms use different binning")
     return _WorkSet().kl_bits(p_hist, q_hist, smoothing)
@@ -459,6 +467,7 @@ def build_calibration(scene: SceneRadiance, sensor: SensorConfig,
     """
     if runs < 2:
         raise CalibrationError("calibration needs at least 2 runs")
+    _check_bin_width(bin_width)
     work = _WorkSet()
     shots = captures(scene, sensor, range(runs + 1))
     prev = next(shots)
@@ -554,8 +563,8 @@ def read_calibration(data: bytes) -> Calibration:
                 fields[key] = rest
         runs = int(fields["runs"])
         bin_width = int(fields["bin_width"])
-        if bin_width < 1:
-            raise CalibrationError(f"calibration bin_width {bin_width} is below 1")
+        if not 1 <= bin_width <= _NVALUES:
+            raise CalibrationError(f"calibration bin_width {bin_width} is outside [1, {_NVALUES}]")
         nbins = -(-_NVALUES // bin_width)
         counts = np.zeros(nbins, dtype=np.int64)
         listed, seen = 0, set()

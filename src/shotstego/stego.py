@@ -25,13 +25,11 @@ probability P(x)(1 - bp) and comes from the cover with probability bp P(x),
 an unusable x only from the key, so P(S = x) = P(x) for any share b of
 1-bits. A 1-bit whose cover pixels are all unusable reads as 0.
 
-One walker, `_slabs`, evaluates that rule for every pass over the image. It
-walks the key's flat pixels in slabs of SLAB_PIXELS, so its temporaries are
-slab-sized and the outputs are the only image-sized arrays, and it carries
-the usable-pixel rank from one slab to the next: if `rank` usable pixels
-precede a slab, its i-th usable pixel belongs to bit (rank + i) // g. A
-group that straddles slabs is cut at the slab boundaries; embed fills each
-part from the same bit and extract ORs the parts' differences into it.
+One walker, `_slabs`, flags the usable pixels for every pass over the
+image, in slabs of SLAB_PIXELS, so its temporaries are slab-sized and the
+outputs are the only image-sized arrays. Grouping is rank arithmetic: the
+usable pixel of rank r, counted in row-major order over the whole image,
+belongs to bit r // g, and embed and extract carry r across slabs.
 """
 
 from __future__ import annotations
@@ -65,38 +63,22 @@ def _usable(px: np.ndarray, full_well: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _slabs(key: RawImage, full_well: int, g: int = 1, limit: int = 0):
+def _slabs(key: RawImage, full_well: int, g: int = 1):
     """Walk the key in slabs, flagging its usable pixels. A full well
     outside [1, 65535] or g < 1 is refused on the call, before any slab.
-    Yields the slab's pixel slice, its flags (a buffer the next slab
-    overwrites), its usable count and its runs: (a, b, w, first) says that
-    the slab's usable pixels [a, b) are (b - a) // w rows of w pixels, row
-    i in group first + i. The runs are at most three: the tail of a group
-    begun in an earlier slab, the slab's whole groups and the head of a
-    group it leaves open. Usable pixels past rank limit // g * g are in no
-    run."""
+    Yields the slab's pixel slice and its flags, a buffer the next slab
+    overwrites."""
     if not 1 <= full_well <= 65535:
         raise ValueError("full_well must be in [1, 65535] so counts fit 16 bits")
     if g < 1:
         raise ValueError("block_pixels must be >= 1")
     px = key.pixels.reshape(-1)
     flags = np.empty(min(px.size, SLAB_PIXELS), dtype=bool)
-    end = limit // g * g
 
     def walk():
-        rank = 0
         for s in range(0, px.size, SLAB_PIXELS):
             k = px[s:s + SLAB_PIXELS]
-            m = _usable(k, full_well, flags[:k.size])
-            used = int(np.count_nonzero(m))
-            start, rank = rank, rank + used
-            stop = max(min(rank, end), start)
-            lo = min(-(-start // g) * g, stop)  # first group boundary in [start, stop]
-            hi = max(stop // g * g, lo)  # last one
-            runs = [(a - start, b - start, w, a // g)
-                    for a, b, w in ((start, lo, lo - start), (lo, hi, g), (hi, stop, stop - hi))
-                    if b > a]
-            yield slice(s, s + k.size), m, used, runs
+            yield slice(s, s + k.size), _usable(k, full_well, flags[:k.size])
 
     return walk()
 
@@ -104,14 +86,15 @@ def _slabs(key: RawImage, full_well: int, g: int = 1, limit: int = 0):
 def default_usable_mask(key: RawImage, full_well: int) -> np.ndarray:
     """The usable pixels of the key as a (height, width) boolean array."""
     out = np.empty(key.pixels.shape, dtype=bool)
-    for part, m, _, _ in _slabs(key, full_well):
+    for part, m in _slabs(key, full_well):
         out.reshape(-1)[part] = m
     return out
 
 
 def capacity_bits(key: RawImage, full_well: int, block_pixels: int) -> int:
-    """Message bits the grouping holds: one per whole run of g usable pixels."""
-    return sum(used for _, _, used, _ in _slabs(key, full_well, block_pixels)) // block_pixels
+    """Message bits the grouping holds: one per whole group of g usable pixels."""
+    slabs = _slabs(key, full_well, block_pixels)
+    return sum(int(np.count_nonzero(m)) for _, m in slabs) // block_pixels
 
 
 def embed(key: RawImage, cover: RawImage, bits: np.ndarray, full_well: int,
@@ -120,19 +103,21 @@ def embed(key: RawImage, cover: RawImage, bits: np.ndarray, full_well: int,
     is 1 and the cover is usable there; every other pixel is the key's."""
     check_same_dims(key, cover)
     g = block_pixels
-    slabs = _slabs(key, full_well, g, np.size(bits) * g)
+    slabs = _slabs(key, full_well, g)
     bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
     out = np.empty(key.pixels.shape, dtype=key.pixels.dtype)
     flat_out, flat_key, flat_cover = (im.reshape(-1) for im in (out, key.pixels, cover.pixels))
     cover_flags = np.empty(min(out.size, SLAB_PIXELS), dtype=bool)
     rank = 0
-    for part, m, used, runs in slabs:
+    for part, m in slabs:
+        used = int(np.count_nonzero(m))
+        lead, first = rank % g, rank // g
         rank += used
-        take = np.zeros(used, dtype=bool)
-        for a, b, w, first in runs:
-            take[a:b].reshape(-1, w)[...] = (bits[first:first + (b - a) // w] == 1)[:, None]
+        row = np.zeros(-(-(lead + used) // g) * g, dtype=bool)  # whole groups from first
+        take = bits[first:first + len(row) // g] == 1  # groups past the last bit stay 0
+        row.reshape(-1, g)[:len(take)] = take[:, None]
         where = np.zeros(m.shape, dtype=bool)
-        where[m] = take
+        where[m] = row[lead:lead + used]
         k, c = flat_key[part], flat_cover[part]
         where &= _usable(c, full_well, cover_flags[:m.size])
         # k ^ ((k ^ c) * where) in place: a masked copy mispredicts a branch per pixel
@@ -150,17 +135,19 @@ def extract(stego: RawImage, key: RawImage, full_well: int,
     pixels differs from the key."""
     check_same_dims(stego, key)
     g = block_pixels
-    slabs = _slabs(key, full_well, g, key.pixel_count)
-    bits = np.zeros(key.pixel_count // g, dtype=np.uint8)  # room for every group
+    slabs = _slabs(key, full_well, g)
+    bits = np.zeros(-(-key.pixel_count // g), dtype=np.uint8)  # room for every group
     flat_stego, flat_key = stego.pixels.reshape(-1), key.pixels.reshape(-1)
     mismatches = rank = 0
-    for part, m, used, runs in slabs:
-        rank += used
+    for part, m in slabs:
         diff = flat_stego[part] != flat_key[part]
         mismatches += int(np.count_nonzero(diff))
         usable = diff[m]
-        for a, b, w, first in runs:  # a group split over slabs ORs each part in
-            bits[first:first + (b - a) // w] |= usable[a:b].reshape(-1, w).any(axis=1)
+        lead, first = rank % g, rank // g
+        rank += usable.size
+        row = np.zeros(-(-(lead + usable.size) // g) * g, dtype=bool)
+        row[lead:lead + usable.size] = usable
+        bits[first:first + len(row) // g] |= row.reshape(-1, g).any(axis=1)
     return DecodedBits(bits=bits[:rank // g], raw_mismatch_count=mismatches)
 
 

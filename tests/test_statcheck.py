@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 from scipy import stats as sps
 
-from shotstego import codec, statcheck
+from shotstego import cli, codec, statcheck
 from shotstego.camera import DEFAULT_FULL_WELL, SensorConfig, capture, capture_pair, make_scene
 from shotstego.imageio import RawImage, write_report
 from shotstego.statcheck import (
@@ -89,6 +89,36 @@ def test_bin_width_below_1_refused_by_every_histogram(bin_width):
         statcheck.Histogram(bin_width=bin_width, counts=np.zeros(4, dtype=np.int64), total=0)
 
 
+@pytest.mark.parametrize("bin_width", [65537, 2**63, 10**30])
+def test_bin_width_above_65536_refused_everywhere(bin_width, tmp_path, capsys):
+    """One bin of 65536 already holds every 16-bit value, so a wider bin is
+    refused before any array is built: ValueError from the library,
+    CalibrationError from the reader, exit 1 for the flag and exit 2 for
+    analyze of a file that holds it."""
+    with pytest.raises(ValueError, match="bin_width must be <= 65536"):
+        build_calibration(make_scene(8, 8, "flat", LAM_DETECT), SensorConfig(seed=1),
+                          runs=2, bin_width=bin_width)
+    with pytest.raises(ValueError, match="bin_width must be <= 65536"):
+        histogram(flat_capture(1, n=8), bin_width)
+    with pytest.raises(ValueError, match="bin_width must be <= 65536"):
+        statcheck.Histogram(bin_width=bin_width, counts=np.zeros(1, dtype=np.int64), total=0)
+    text = _small_calibration_text().replace("\nbin_width 1\n", f"\nbin_width {bin_width}\n")
+    with pytest.raises(CalibrationError, match=f"bin_width {bin_width} is outside"):
+        read_calibration(text.encode())
+    (tmp_path / "wide.cal").write_text(text)
+    ws = lambda name: str(tmp_path / name)  # noqa: E731
+    assert cli.main(["capture", "--width", "8", "--height", "8",
+                     "--key-out", ws("k.pgm"), "--cover-out", ws("c.pgm")]) == 0
+    capsys.readouterr()
+    assert cli.main(["analyze", "--image", ws("k.pgm"), "--calibration", ws("wide.cal"),
+                     "--report-out", ws("r.txt")]) == 2
+    assert f"bin_width {bin_width} is outside" in capsys.readouterr().err
+    for argv in (["calibrate", "--width", "8", "--height", "8", "--calibration-out", ws("o.cal")],
+                 ["demo-lsb", "--image", ws("k.pgm"), "--out-prefix", ws("o")]):
+        assert cli.main(argv + ["--bin-width", str(bin_width)]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.pgm", "k.pgm", "wide.cal"]
+
+
 def test_histogram_of_shot_noise_capture():
     """Mean within 1e4 +- 3 and standard deviation within 100 +- 2 on a
     1e5-pixel region of a flat lambda=1e4 capture."""
@@ -135,6 +165,13 @@ def test_kl_requires_matching_bins_and_positive_smoothing():
         kl_divergence(h1, h2)
     with pytest.raises(ValueError):
         kl_divergence(h1, h1, smoothing=0.0)
+
+
+@pytest.mark.parametrize("smoothing", [math.nan, math.inf])
+def test_kl_refuses_non_finite_smoothing(smoothing):
+    h = histogram(flat_capture(5, n=16), 1)
+    with pytest.raises(ValueError, match="smoothing must be finite"):
+        kl_divergence(h, h, smoothing=smoothing)
 
 
 @settings(max_examples=30, deadline=None)

@@ -239,6 +239,38 @@ def test_grouping_matches_reference_across_slabs(multi_slab_images, g):
     assert 0 < decoded.bits.sum() < len(groups)
 
 
+def test_stego_does_not_depend_on_the_slab(monkeypatch):
+    """Slabs of one pixel, of a few pixels, of about a row and the default
+    size give the same embed bytes, extracted bits and mismatch counts,
+    capacity, usable mask and collision rate, at group sizes that cut groups
+    over many slabs. The key has a dark band several slabs long and bright
+    pixels at the full well, and the cover is unusable at some pixels where
+    the key is usable."""
+    r = np.random.default_rng(91)
+    key = r.integers(16, 80, (30, 40)).astype(np.uint16)
+    key[8:14] = r.integers(0, 16, (6, 40))
+    cover = np.clip(key.astype(np.int64) + r.integers(-3, 4, key.shape), 0, 90)
+    cover[r.random(key.shape) < 0.1] = 5
+    key, cover = (RawImage(width=40, height=30, pixels=px.astype(np.uint16))
+                  for px in (key, cover))
+    full_well = 70
+    assert (default_usable_mask(key, full_well) & ~default_usable_mask(cover, full_well)).any()
+    outputs = []
+    for slab in (1, 7, 64, stego.SLAB_PIXELS):
+        monkeypatch.setattr(stego, "SLAB_PIXELS", slab)
+        got = [default_usable_mask(key, full_well).tobytes(),
+               collision_rate(key, cover, full_well)]
+        for g in (1, 3, 16, 50):
+            n = capacity_bits(key, full_well, g)
+            stego_img = embed(key, cover, codec.keyed_filler_bits(n, g), full_well, g)
+            got += [n, stego_img.pixels.tobytes()]
+            for seen in (stego_img, cover):
+                decoded = extract(seen, key, full_well, g)
+                got += [decoded.bits.tobytes(), decoded.raw_mismatch_count]
+        outputs.append(got)
+    assert all(out == outputs[0] for out in outputs[1:])
+
+
 @pytest.mark.parametrize("full_well", [1, 17, 30, 65535])
 def test_default_mask_across_slabs(multi_slab_images, full_well):
     px = multi_slab_images[0].pixels
