@@ -28,19 +28,19 @@ Key and cover share the same law, so the pixel-selection argument does not
 depend on it. Normals come from Box-Muller evaluated in float32 with the
 cos/sin pair trick; captures are only required to be statistically
 faithful, not bit-identical across implementations, so the cheap
-transcendentals are fine. Pixels below 60 get exact Poisson counts from
-float64 uniforms of their own stream (`rng.POISSON_SMALL_SALT`): inversion
-of one uniform below lambda = 10 and transformed rejection (PTRS) from 10
-up to 60, the split numpy uses.
+transcendentals are fine.
 
-The image is processed in batches of 4 * _CHUNK pixels. A batch first
-draws the exact counts of all its pixels below 60 into one compact array,
-in sub-batches of at most _CHUNK // 2 such pixels, so the per-call cost of
-those samplers is paid once per batch rather than once per slab. It then
-runs the normal approximation in slabs of _CHUNK = 2^17 pixels, small
-enough that a slab's working arrays stay in the CPU cache; each slab takes
-its small-lambda pixels' counts from the batch's array before read noise
-and clipping.
+Pixels with 0 < lambda < 60 get exact Poisson counts from float64 uniforms
+of their own stream (`rng.POISSON_SMALL_SALT`). A sum of independent
+Poisson variables is Poisson, so with lambda = m + f and m = floor(lambda),
+draw 0 gives Poisson(m) by inverting row m of a CDF table built at import
+and draw 1 gives Poisson(f) by term-by-term inversion. Pixels at lambda = 0
+keep the normal path's count, which is exactly 0.
+
+The image is processed in slabs of _CHUNK = 2^17 pixels, small enough that
+a slab's working arrays stay in the CPU cache. A slab draws the normal
+approximation for every pixel, then overwrites its dark pixels with their
+exact counts before read noise and clipping.
 
 `captures` is the one capture path (`capture` takes one image from it). It
 makes the slab's work arrays once and reuses them across the slabs of
@@ -61,20 +61,19 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import rng
 from .imageio import RawImage
 
 NORMAL_APPROX_THRESHOLD = 60.0
-INVERSION_THRESHOLD = 10.0  # below: CDF inversion; up to 60: PTRS
+# Largest lambda or read-noise sigma: any larger saturates every 16-bit pixel, and
+# times the exposure factor (< 2) or a normal deviate it would overflow float32.
+MAX_LEVEL = 1e30
 DEFAULT_FULL_WELL = 50000
 _CHUNK = 1 << 17  # pixels per processing slab (even): its buffers stay in cache
-_INVERSION_MAX = 64
-_PTRS_MAX_ATTEMPTS = 300
 
-# Second stride for the draw index; with |draw delta| <= 600 the nearest
-# pixel-index alias sits at |di| ~ 3.4e15, far outside any image.
+# Second stride for the draw index. Every stream reads draws 0 and 1 only;
+# with |draw delta| <= 600 the nearest pixel-index alias sits at |di| ~ 3.4e15.
 DRAW_DELTA = 0xD1342543DE82EF95
 _INV_2_40 = np.float32(2.0 ** -40)  # float32 uniforms keep the top 40 bits
 _INV_2_53 = 2.0 ** -53  # float64 uniforms keep the top 53 bits
@@ -86,7 +85,7 @@ class SceneRadiance:
 
     width: int
     height: int
-    lam: np.ndarray  # float64, shape (height, width), all finite and >= 0
+    lam: np.ndarray  # float64, shape (height, width), all in [0, MAX_LEVEL]
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
@@ -94,9 +93,10 @@ class SceneRadiance:
         lam = np.asarray(self.lam, dtype=np.float64)
         if lam.shape != (self.height, self.width):
             raise ValueError("radiance array shape does not match dimensions")
-        if not np.all(np.isfinite(lam)):
-            raise ValueError("expected photon counts must be finite")
-        if np.any(lam < 0):
+        lo, hi = lam.min(), lam.max()  # a NaN in lam makes both NaN
+        if not (math.isfinite(lo) and hi <= MAX_LEVEL):
+            raise ValueError(f"expected photon counts must be finite and at most {MAX_LEVEL:g}")
+        if lo < 0:
             raise ValueError("expected photon counts must be >= 0")
         self.lam = lam
 
@@ -119,8 +119,8 @@ class SensorConfig:
     def __post_init__(self):
         if not (1 <= self.full_well <= 65535):
             raise ValueError("full_well must be in [1, 65535] so counts fit 16 bits")
-        if not (math.isfinite(self.read_noise_sigma) and self.read_noise_sigma >= 0):
-            raise ValueError("read_noise_sigma must be finite and >= 0")
+        if not 0 <= self.read_noise_sigma <= MAX_LEVEL:  # NaN fails this test too
+            raise ValueError(f"read_noise_sigma must be finite and in [0, {MAX_LEVEL:g}]")
         if not (0 <= self.exposure_jitter_fraction < 1):
             raise ValueError("exposure_jitter_fraction must be in [0, 1)")
         self.seed = self.seed & rng.MASK64
@@ -263,69 +263,50 @@ class _SlabWork:
         return z
 
 
-def _poisson_inversion(base: int, idx: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Exact Poisson counts for lam < 10 by inversion of one uniform u.
+def _cdf_table() -> np.ndarray:
+    """Row m holds the Poisson(m) CDF F(0..255) for each integer m < 60,
+    summed term by term from p_0 = exp(-m) by p_k = p_(k-1) * m / k. Sums
+    rounded above 1.0 are clipped, which changes no comparison with a u < 1,
+    and the last entry is exactly 1.0 (the mass past 254 is under 1e-78 at
+    m = 59), so a row never decreases and holds at most 255 entries <= u."""
+    m = np.arange(NORMAL_APPROX_THRESHOLD)[:, None]
+    terms = np.hstack([np.exp(-m), m / np.arange(1, 256)])
+    table = np.minimum(np.cumsum(np.cumprod(terms, axis=1), axis=1), 1.0)
+    table[:, -1] = 1.0
+    return table
 
-    The count is the smallest k with u < F(k), the CDF summed term by term
-    from p_0 = exp(-lam) by p_k = p_(k-1) * lam / k. The search stops at
-    k = _INVERSION_MAX: the tail beyond it holds under 5e-30 of the mass,
-    so only a u above the rounded float64 sum F(63), a chance of a few
-    units of 2^-53, ends there.
+
+_CDF_TABLE = _cdf_table()
+
+
+def _poisson_exact(base: int, idx: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Exact Poisson counts for 0 < lam < 60 as Poisson(m) + Poisson(f),
+    m = floor(lam) and f = lam - m.
+
+    Draw 0's uniform u gives the smallest k with u < F(k) in row m of
+    _CDF_TABLE by an 8-step binary search. Draw 1's uniform inverts the
+    Poisson(f) CDF term by term, within about ten terms as f < 1; the tail
+    past 20 terms holds under 1/21! of the mass, so only a u above the
+    rounded sum, a chance of a few units of 2^-53, stops there.
     """
+    whole = lam.astype(np.intp)
+    at = whole * 256  # the flat index of row m's first entry
     u = _uniforms64(base, idx, 0)
-    p = np.exp(-lam)
+    flat = _CDF_TABLE.reshape(-1)
+    for step in (128, 64, 32, 16, 8, 4, 2, 1):
+        at += (flat.take(at + (step - 1)) <= u) * step
+    counts = at - whole * 256
+    frac = lam - whole
+    u = _uniforms64(base, idx, 1)
+    p = np.exp(-frac)
     cdf = p.copy()
-    counts = np.zeros(len(lam))
-    pending = np.arange(len(lam))
-    for k in range(1, _INVERSION_MAX + 1):
+    for k in range(1, 21):
         more = u >= cdf
-        pending = pending[more]
-        if not len(pending):
+        if not more.any():
             break
-        u, lam, p, cdf = u[more], lam[more], p[more], cdf[more]
-        counts[pending] = k
-        p *= lam / k
+        counts += more
+        p *= frac / k
         cdf += p
-    return counts
-
-
-def _poisson_ptrs(base: int, idx: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Exact Poisson counts for 10 <= lam < 60 by transformed rejection with
-    squeeze (PTRS; Hoermann, "The transformed rejection method for
-    generating Poisson random variables", 1993), as numpy draws them.
-
-    Attempt r reads draws 2r and 2r+1 of the pixel's counter. An attempt
-    is rejected with probability 0.246 at lam = 10, falling to 0.16 at 60,
-    so a pixel exhausts the _PTRS_MAX_ATTEMPTS = 300 attempts (draws up to
-    599, inside DRAW_DELTA's audited range) with probability below
-    0.25^300 < 1e-180; it would keep floor(lam).
-    """
-    counts = np.floor(lam)
-    pending = np.arange(len(lam))
-    # the lambda-only terms, computed once and subset with the pending pixels
-    b = 0.931 + 2.53 * np.sqrt(lam)
-    a = -0.059 + 0.02483 * b
-    v_r = 0.9277 - 3.6224 / (b - 2.0)
-    for attempt in range(_PTRS_MAX_ATTEMPTS):
-        u = _uniforms64(base, idx, 2 * attempt) - 0.5
-        v = _uniforms64(base, idx, 2 * attempt + 1)
-        us = 0.5 - np.abs(u)
-        with np.errstate(divide="ignore"):  # us == 0 gives k = -inf, rejected
-            k = np.floor((2.0 * a / us + b) * u + lam + 0.43)
-        accept = (us >= 0.07) & (v <= v_r)
-        test = np.flatnonzero(~accept & (k >= 0) & ((us >= 0.013) | (v <= us)))
-        if len(test):
-            at, bt, kt, lt, ut = a[test], b[test], k[test], lam[test], us[test]
-            with np.errstate(divide="ignore"):  # v == 0 gives log(v) = -inf, accepted
-                lhs = (np.log(v[test]) + np.log(1.1239 + 1.1328 / (bt - 3.4))
-                       - np.log(at / (ut * ut) + bt))
-            accept[test] = lhs <= -lt + kt * np.log(lt) - gammaln(kt + 1.0)
-        counts[pending[accept]] = k[accept]
-        rejected = np.flatnonzero(~accept)
-        if not len(rejected):
-            break
-        pending, idx, lam, a, b, v_r = (
-            x[rejected] for x in (pending, idx, lam, a, b, v_r))
     return counts
 
 
@@ -344,48 +325,35 @@ def captures(scene: SceneRadiance, sensor: SensorConfig,
     full_well = np.float32(sensor.full_well)
     sigma_r = sensor.read_noise_sigma
     work = _SlabWork(min(n, _CHUNK), sigma_r > 0)
-    batch = 4 * _CHUNK  # at 4096^2, 2 slabs were slower; 8 no faster, +3 MB peak RSS
     for capture_index in indices:
         jitter = exposure_factor(sensor, capture_index)
         base = rng.mix((sensor.seed ^ rng.CAPTURE_SALT) + (capture_index + 1) * rng.GAMMA)
         noise_base = rng.mix(base ^ rng.READNOISE_SALT)
         small_base = rng.mix(base ^ rng.POISSON_SMALL_SALT)
         out = np.empty(n, dtype=np.uint16)
-        for first in range(0, n, batch):
-            lam_batch = lam_flat[first:first + batch]
+        for first in range(0, n, _CHUNK):
+            stop = min(first + _CHUNK, n)
+            lam = lam_flat[first:stop]
             if jitter != 1.0:
-                lam_batch = lam_batch * jitter
-            # exact counts for the batch's small-lambda pixels, drawn in
-            # sub-batches of at most _CHUNK // 2 pixels whose sampler arrays
-            # stay in cache even when the whole batch is dark
-            small = np.flatnonzero(lam_batch < NORMAL_APPROX_THRESHOLD)
-            small_counts = np.empty(len(small), dtype=np.float32)
-            for at in range(0, len(small), _CHUNK // 2):
-                part = small[at:at + _CHUNK // 2]
-                lam_part = lam_batch[part]
-                idx = np.uint64(first) + part.astype(np.uint64)
-                low = lam_part < INVERSION_THRESHOLD
-                drawn = small_counts[at:at + len(part)]
-                drawn[low] = _poisson_inversion(small_base, idx[low], lam_part[low])
-                drawn[~low] = _poisson_ptrs(small_base, idx[~low], lam_part[~low])
-            for start in range(0, len(lam_batch), _CHUNK):
-                stop = min(start + _CHUNK, len(lam_batch))
-                lam32, root = work.scaled_lambda(lam_batch[start:stop], first + start, jitter)
-                counts = work.normals(base, first + start, work.counts[:stop - start])
-                counts *= root
-                counts += lam32
-                np.rint(counts, out=counts)
-                # the normal draws of small-lambda pixels are overwritten by exact counts
-                lo, hi = np.searchsorted(small, (start, stop))
-                counts[small[lo:hi] - start] = small_counts[lo:hi]
-                if sigma_r > 0:
-                    np.maximum(counts, np.float32(0.0), out=counts)  # the clip floors otherwise
-                    noise = work.normals(noise_base, first + start, work.noise[:stop - start])
-                    noise *= np.float32(sigma_r)
-                    np.rint(noise, out=noise)
-                    counts += noise
-                np.clip(counts, np.float32(0.0), full_well, out=counts)
-                out[first + start:first + stop] = counts
+                lam = lam * jitter
+            lam32, root = work.scaled_lambda(lam, first, jitter)
+            counts = work.normals(base, first, work.counts[:stop - first])
+            counts *= root
+            counts += lam32
+            np.rint(counts, out=counts)
+            # dark pixels overwrite their normal draws with exact counts
+            dark = np.flatnonzero((lam > 0) & (lam < NORMAL_APPROX_THRESHOLD))
+            if len(dark):
+                idx = dark.astype(np.uint64) + np.uint64(first)
+                counts[dark] = _poisson_exact(small_base, idx, lam[dark])
+            if sigma_r > 0:
+                np.maximum(counts, np.float32(0.0), out=counts)  # the clip floors otherwise
+                noise = work.normals(noise_base, first, work.noise[:stop - first])
+                noise *= np.float32(sigma_r)
+                np.rint(noise, out=noise)
+                counts += noise
+            np.clip(counts, np.float32(0.0), full_well, out=counts)
+            out[first:stop] = counts
         yield RawImage(width=scene.width, height=scene.height,
                        pixels=out.reshape(scene.height, scene.width))
 

@@ -490,14 +490,18 @@ def ward_test(img: RawImage, calibration: Optional[Calibration],
     The KL and chi-square statistics always run, from one count of the
     image's values; the pair statistics run when a second capture of the
     same scene is provided. Suspicious iff any statistic exceeds its
-    calibrated 99th percentile.
+    calibrated 99th percentile. A calibration judges only images with the
+    pixel count of its captures, its reference histogram's total.
     """
     if calibration is None:
         raise CalibrationError("ward_test requires calibration data")
     if calibration.n_runs < 100:
         raise CalibrationError(f"calibration built from {calibration.n_runs} runs; need >= 100")
-    stats, chi2_p, pair = _WorkSet().judge(img, calibration.reference_hist(), reference)
+    ref = calibration.reference_hist()
     n = img.pixel_count
+    if n != ref.total:
+        raise CalibrationError(f"calibration describes images of {ref.total} pixels, not {n}")
+    stats, chi2_p, pair = _WorkSet().judge(img, ref, reference)
     suspicious = any(value > calibration.threshold(name) for name, value in stats.items())
     report = AnalysisReport(kl_bits=stats["kl"], autocorr=(), norm_dev=math.nan, chi2_pvalue=chi2_p,
                             verdict="suspicious" if suspicious else "clean",

@@ -68,9 +68,8 @@ def test_capture_independent_of_chunking(monkeypatch):
     """Counter-based draws: slab size is an implementation detail and must
     never show in the output (stands in for any parallel evaluation order).
     The inputs cover every kind of slab: mixed with saturated and dark
-    tiles, a gradient crossing lambda=60 inside slabs, all large, all small,
-    and one batch of slabs holding more small-lambda pixels than one
-    sub-batch of the exact samplers draws."""
+    tiles, a gradient crossing lambda=60 inside slabs, all large, and all
+    small over a few slabs and over many."""
     cases = [
         (make_scene(300, 77, "pcb", 3000), SensorConfig(seed=77, read_noise_sigma=4.0)),
         (make_scene(200, 50, "gradient", 50.0),
@@ -168,7 +167,7 @@ def test_read_noise_floors_at_zero():
     assert img.pixels.max() > 0
 
 
-def test_knuth_branch_moments():
+def test_small_lambda_moments():
     img = capture(make_scene(700, 700, "flat", 7.5), SensorConfig(seed=10), 0)
     v = img.pixels.astype(np.float64)
     assert abs(v.mean() - 7.5) < 0.05
@@ -176,12 +175,14 @@ def test_knuth_branch_moments():
 
 
 @pytest.mark.parametrize("lam, seed", [
-    (0.3, 11), (3.0, 12), (9.99, 13), (10.0, 14), (25.0, 15), (59.9, 16)])
+    (0.3, 11), (3.0, 12), (9.99, 13), (10.0, 14), (25.0, 15), (59.9, 16),
+    (0.999, 17), (1.0, 18), (1.001, 19), (29.5, 20), (59.999, 21)])
 def test_small_lambda_counts_follow_poisson_law(lam, seed):
     """Chi-square goodness of fit of 4e5 flat-scene counts against the
-    Poisson pmf on both sides of the inversion/PTRS switch at lambda = 10
-    and just below the normal approximation at 60. Tails are pooled until
-    every expected count is at least 5."""
+    Poisson pmf across the exact sampler's range: fractional parts near 1
+    and exactly 0, a half, and the last table row just below the normal
+    approximation at 60. Tails are pooled until every expected count is at
+    least 5."""
     side = 632
     counts = capture(make_scene(side, side, "flat", lam), SensorConfig(seed=seed), 0).pixels
     observed = np.bincount(counts.reshape(-1).astype(np.int64))
@@ -196,9 +197,17 @@ def test_small_lambda_counts_follow_poisson_law(lam, seed):
     assert stats.chi2.sf(statistic, len(exp) - 1) > 1e-3
 
 
+def test_cdf_table_rows_end_at_one():
+    """Each row of the table the exact sampler searches never decreases and
+    ends at exactly 1.0, so the search for a u < 1 stays inside its row."""
+    assert camera._CDF_TABLE.shape[0] == camera.NORMAL_APPROX_THRESHOLD
+    assert np.all(np.diff(camera._CDF_TABLE, axis=1) >= 0)
+    assert np.all(camera._CDF_TABLE[:, -1] == 1.0)
+
+
 # SHA-256 of write_pgm16(capture(...)): captures whose scaled lambda is 0 or
 # at least 60 at every pixel take only the normal approximation, whose bytes
-# are pinned across changes to the sampler.
+# are pinned across changes to the exact sampler.
 PINNED_CAPTURES = [
     ("criterion8-flat-4096", (4096, 4096, "flat", 1e4), dict(seed=80_000),
      "14a8e07557a69f5ba2f178583cbb1d5516fee44247d43e00dc676d526285aa5a"),
@@ -219,6 +228,25 @@ def test_normal_path_bytes_pinned(scene, sensor, digest):
     assert hashlib.sha256(imageio.write_pgm16(img)).hexdigest() == digest
 
 
+# The same for captures with pixels at 0 < lambda < 60, which the exact
+# sampler draws: these bytes change only with that sampler.
+PINNED_DARK_CAPTURES = [
+    ("gradient-200x50-jitter-noise", (200, 50, "gradient", 50.0),
+     dict(seed=78, read_noise_sigma=2.0, exposure_jitter_fraction=0.05),
+     "769d1e59bd9574756dbf0a53f24d8a6abd2b418b37b19ec69107deeaf1a21ca5"),
+    ("flat-100x60-7.5", (100, 60, "flat", 7.5), dict(seed=80),
+     "048b3a2ecca93bf0180b0c93f210e70b36892c00d3af84f5809bc015974c5c34"),
+    ("flat-400x400-30", (400, 400, "flat", 30.0), dict(seed=81),
+     "34774f269e3cdeec15b914d0f76eedfe7e24fed5a214ed0b754ac59aea38755a"),
+]
+
+
+@pytest.mark.parametrize("scene, sensor, digest", [c[1:] for c in PINNED_DARK_CAPTURES],
+                         ids=[c[0] for c in PINNED_DARK_CAPTURES])
+def test_exact_path_bytes_pinned(scene, sensor, digest):
+    test_normal_path_bytes_pinned(scene, sensor, digest)
+
+
 def test_sensor_config_validation():
     with pytest.raises(ValueError):
         SensorConfig(full_well=70000)
@@ -228,10 +256,11 @@ def test_sensor_config_validation():
         SensorConfig(exposure_jitter_fraction=1.0)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1e39])
 def test_non_finite_inputs_rejected(value):
     """NaN passes a `< 0` test and would be cast to zero counts; infinity
-    would saturate every pixel or fill the image with clipped noise."""
+    would saturate every pixel or fill the image with clipped noise. 1e39
+    is finite in float64 but overflows the capture's float32 arithmetic."""
     with pytest.raises(ValueError, match="finite"):
         make_scene(8, 8, "flat", value)
     with pytest.raises(ValueError, match="finite"):

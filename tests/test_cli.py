@@ -132,8 +132,9 @@ def test_unsuitable_inputs_exit_2(ws, warden_ws):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--mean-level", "nan"), ("--mean-level", "inf"),
+    ("--mean-level", "nan"), ("--mean-level", "inf"), ("--mean-level", "1e39"),
     ("--read-noise-sigma", "nan"), ("--read-noise-sigma", "inf"),
+    ("--read-noise-sigma", "1e39"),
     ("--width", "0"), ("--mean-level", "-5"), ("--full-well", "0"),
     ("--read-noise-sigma", "-1"), ("--exposure-jitter-fraction", "2")])
 def test_non_finite_capture_inputs_exit_2(ws, tmp_path, flag, value):
@@ -266,6 +267,18 @@ def test_analyze_rejects_inconsistent_reference_counts(warden_ws, ws, old, new):
         fh.write(text.replace(old, new))
     assert run("analyze", "--image", warden_ws("k.pgm"), "--calibration", ws("bad.cal"),
                "--report-out", ws("r.txt"), "--fail-on-suspicious") == 2
+    assert not os.path.exists(ws("r.txt"))
+
+
+def test_analyze_rejects_image_of_another_size(warden_ws, ws, capsys):
+    """A 256^2 calibration does not describe a 128^2 image: exit 2 and no
+    report, not a verdict against the wrong null."""
+    assert run("capture", "--width", "128", "--height", "128", "--pattern", "flat",
+               "--mean-level", "100", "--key-out", ws("k.pgm"), "--cover-out", ws("c.pgm")) == 0
+    capsys.readouterr()
+    assert run("analyze", "--image", ws("k.pgm"), "--calibration", warden_ws("flat100.cal"),
+               "--report-out", ws("r.txt")) == 2
+    assert "65536 pixels, not 16384" in capsys.readouterr().err
     assert not os.path.exists(ws("r.txt"))
 
 

@@ -607,6 +607,14 @@ def test_ward_requires_calibration(calibration):
         ward_test(img, starved)
 
 
+@pytest.mark.parametrize("side", [128, 512])
+def test_ward_refuses_images_of_another_pixel_count(calibration, side):
+    """The 256^2 calibration's reference total is its captures' pixel count;
+    an image with another count is refused rather than judged."""
+    with pytest.raises(CalibrationError, match="65536 pixels"):
+        ward_test(flat_capture(24, n=side), calibration)
+
+
 def test_ward_flags_lsb_images(calibration):
     flagged = 0
     for t in range(60):
