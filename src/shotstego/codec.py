@@ -262,20 +262,24 @@ def rs_decode(coded: bytes, parity_symbols: int) -> bytes:
 def rs_decode_stream(stream: bytes, parity_symbols: int) -> bytes:
     """Decode a coded stream of unknown length followed by filler bytes.
 
-    A stream of at least one full block: correct the first block, read the
-    framed length, then decode exactly that prefix. Failing that, every
-    layout shorter than one block becomes a zero-padded row, like a short
-    last block; all are corrected in one call, and the shortest that then
-    decodes with matching length and CRC-32 is returned. Raises DecodeError
+    A stream that holds the full blocks of the 4-byte length field (one
+    block unless parity exceeds 250): correct them, read the framed length,
+    then decode exactly that prefix. Failing that, every layout shorter
+    than one block becomes a zero-padded row, like a short last block; all
+    are corrected in one call, and the shortest that then decodes with
+    matching length and CRC-32 is returned. Raises DecodeError
     when nothing decodes (wrong key, wrong plan, or damage beyond the
     correction budget).
     """
     _check_parity(parity_symbols)
     stream = bytes(stream)
-    if len(stream) >= 255:
-        first, _ = _blocks(stream[:255], 255)
-        if _rs_correct(first, [255], parity_symbols)[0]:
-            need = coded_length(int.from_bytes(first[0, :4].tobytes(), "big"), parity_symbols)
+    k = 255 - parity_symbols
+    head = 255 * -(-4 // k)  # the bytes of the blocks the length field spans
+    if len(stream) >= head:
+        first, _ = _blocks(stream[:head], 255)
+        if _rs_correct(first, np.full(len(first), 255), parity_symbols).all():
+            length = first[:, :k].tobytes()[:4]
+            need = coded_length(int.from_bytes(length, "big"), parity_symbols)
             if 255 <= need <= len(stream):
                 try:
                     return rs_decode(stream[:need], parity_symbols)

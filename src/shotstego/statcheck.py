@@ -23,10 +23,12 @@ the calibration file format. The work set walks the images in slabs of at
 most 2^16 pixels, so no work array grows with the image.
 
 The two pair statistics come from one walk over the pair, as exact integer
-sums: every term is an integer below 2^32 and no slab adds more than 2^20
-of them, so every partial sum is an integer below 2^52, exact in float64
-in any order. Each statistic is then rounded once, from Python integers,
-and depends neither on the image size nor on the order of evaluation.
+sums, among them one sum of d = K - C per image column, from which every
+sum of d the lags need follows (see _PairSums). Every term is an integer
+below 2^32 and no slab adds more than 2^20 of them, so every partial sum is
+an integer below 2^52, exact in float64 in any order. Each statistic is
+then rounded once, from Python integers, and depends neither on the image
+size nor on the order of evaluation.
 
 The chi-square test deserves a note. Replacing every least-significant bit
 equalizes the counts of each value pair (2k, 2k+1) while leaving the pair
@@ -70,29 +72,25 @@ def _slabs(height: int, width: int):
     """The image cut into slabs of at most _SLAB pixels, as (rows, columns)
     slice pairs: runs of whole rows, or column chunks of one row when a row
     is wider than _SLAB."""
-    if width <= _SLAB:
-        step = _SLAB // width
-        for r0 in range(0, height, step):
-            yield slice(r0, min(r0 + step, height)), slice(0, width)
-    else:
-        for r in range(height):
-            for c0 in range(0, width, _SLAB):
-                yield slice(r, r + 1), slice(c0, min(c0 + _SLAB, width))
+    step, cstep = max(_SLAB // width, 1), min(width, _SLAB)
+    for r0 in range(0, height, step):
+        for c0 in range(0, width, cstep):
+            yield slice(r0, min(r0 + step, height)), slice(c0, min(c0 + cstep, width))
 
 
 class _PairSums:
     """Exact integer sums of a capture pair's difference d = K - C, from
-    which both pair statistics follow with one rounding each: s1 = sum of d,
-    each lag's product sum, the sums of d over the first and the last
-    max_lag columns, the sum of d^2 for each value of K + C and the count
-    of pixels with K + C < 16."""
+    which both pair statistics follow with one rounding each: the sum of d
+    over each image column, each lag's product sum, the sum of d^2 for each
+    value of K + C and the count of pixels with K + C < 16. The column sums
+    give s1 = sum of d and, for lag j, the sums H_j and T_j of d over the
+    lag's first and second factors: H_j + T_j = 2 s1 - (sum of the first j
+    columns) - (sum of the last j)."""
 
     def __init__(self, height: int, width: int, max_lag: int):
         self.height, self.width, self.max_lag = height, width, max_lag
-        self.s1 = 0
+        self.columns = np.zeros(width, dtype=np.int64)
         self.lags = [0] * max_lag
-        self.head = np.zeros(max_lag, dtype=np.int64)
-        self.tail = np.zeros(max_lag, dtype=np.int64)
         self.squares = np.zeros(0, dtype=np.int64)
         self.dark = 0
 
@@ -112,17 +110,16 @@ class _PairSums:
 
     def autocorrelation(self) -> np.ndarray:
         """rho_j = (n^2 L_j - n s1 (H_j + T_j) + n_j s1^2) / (n_j (n s2 - s1^2)),
-        where n_j = h (w - j) and H_j, T_j are the sums of d over the lag's
-        first and second factors: one correctly rounded int division."""
-        h, w, m, s1 = self.height, self.width, self.max_lag, self.s1
-        n = h * w
+        where n_j = h (w - j): one correctly rounded int division."""
+        h, w, cols = self.height, self.width, self.columns
+        n, s1 = h * w, int(cols.sum())
         var = n * int(self.squares.sum()) - s1 * s1
         if var == 0:
             raise ValueError("difference image is constant; identical captures?")
-        rho = np.empty(m, dtype=np.float64)
-        for j in range(1, m + 1):
+        rho = np.empty(self.max_lag, dtype=np.float64)
+        for j in range(1, self.max_lag + 1):
             n_j = h * (w - j)
-            h_plus_t = 2 * s1 - int(self.tail[m - j:].sum()) - int(self.head[:j].sum())
+            h_plus_t = 2 * s1 - int(cols[:j].sum()) - int(cols[w - j:].sum())
             rho[j - 1] = (n * n * self.lags[j - 1] - n * s1 * h_plus_t + n_j * s1 * s1) \
                 / (n_j * var)
         return rho
@@ -148,8 +145,8 @@ class _WorkSet:
     2^32, and each dot, sum or weighted bincount over a slab adds fewer
     than 2 * _SLAB <= 2^20 of them. Its result is an integer below 2^52,
     exact in float64 whatever the order; the slab results are added as
-    Python ints, or as int64 for the per-(K + C) sums of d^2 (exact below
-    2^31 pixels).
+    Python ints, or as int64 for the column sums and the per-(K + C) sums
+    of d^2 (exact below 2^31 pixels).
     """
 
     def __init__(self):
@@ -235,26 +232,15 @@ class _WorkSet:
             # factor in the buffer, and none wraps into the next row.
             padded = self._array("reals", r * (m + cw), np.float64).reshape(r, m + cw)
             flat, d = padded.reshape(-1), padded[:, m:]
-            np.subtract(k, c, out=d, dtype=np.float64)
-            known = min(m, cols.start)  # context columns inside the image
-            padded[:, :m - known] = 0
-            if known:
-                before = slice(cols.start - known, cols.start)
-                np.subtract(key.pixels[rows, before], cover.pixels[rows, before],
-                            out=padded[:, m - known:m], dtype=np.float64)
+            lo = max(cols.start - m, 0)  # the context columns inside the image start here
+            gap = m - (cols.start - lo)  # and this many before column 0 are zero
+            padded[:, :gap] = 0
+            np.subtract(key.pixels[rows, lo:cols.stop], cover.pixels[rows, lo:cols.stop],
+                        out=padded[:, gap:], dtype=np.float64)
             for j in range(1, m + 1):
                 sums.lags[j - 1] += int(np.dot(flat[m - j:flat.size - j], flat[m:]))
-            if known:
-                padded[:, m - known:m] = 0  # from here on the context adds nothing
-            sums.s1 += int(flat.sum())
-            if cols.start < m:
-                stop = min(cols.stop, m)
-                sums.head[cols.start:stop] += \
-                    d[:, :stop - cols.start].sum(axis=0).astype(np.int64)
-            first = max(cols.start, w - m)
-            if first < cols.stop:
-                sums.tail[first - (w - m):cols.stop - (w - m)] += \
-                    d[:, first - cols.start:].sum(axis=0).astype(np.int64)
+            padded[:, :m] = 0  # from here on the context adds nothing
+            sums.columns[cols] += d.sum(axis=0).astype(np.int64)
             # d^2 per value of K + C; the context's zero squares go to bin 0
             np.square(flat, out=flat)
             ksum = self._array("ints", r * (m + cw), np.int64).reshape(r, m + cw)
@@ -266,24 +252,27 @@ class _WorkSet:
         return sums
 
     def judge(self, img: RawImage, ref_hist: Histogram,
-              partner: Optional[RawImage]) -> tuple[dict, float, Optional[_PairSums]]:
+              partner: Optional[RawImage]) -> tuple[dict, dict]:
         """The battery on one image: KL against ref_hist and the chi-square
         from one count of its values, then the pair statistics of (img,
         partner) if a partner is given. Returns each statistic in the space
-        of its null, by its name in _NULLS, the chi-square p-value and the
-        pair sums (None without a partner)."""
+        of its null, by its name in _NULLS, and the AnalysisReport fields
+        but the verdict."""
         n = img.pixel_count
         counts = self.value_counts(img)
         kl = self.kl_bits(_binned(counts, n, ref_hist.bin_width), ref_hist, KL_SMOOTHING)
         p = self.chi2_pvalue(counts, n)
         del counts  # not held through the pair statistics or the next count
         stats = {"kl": kl, "chi2_logp": -math.log10(max(p, 1e-300))}
-        pair = None
+        report = dict(kl_bits=kl, autocorr=(), norm_dev=math.nan, chi2_pvalue=p,
+                      sample_sizes={"kl": n, "chi2": n})
         if partner is not None:
             pair = self.pair_sums(img, partner, AUTOCORR_LAGS)
-            stats["autocorr_max"] = float(np.max(np.abs(pair.autocorrelation())))
-            stats["normdev_dev"] = abs(pair.normalized_deviation() - 1.0)
-        return stats, p, pair
+            rho, dev = pair.autocorrelation(), pair.normalized_deviation()
+            stats.update(autocorr_max=float(np.max(np.abs(rho))), normdev_dev=abs(dev - 1.0))
+            report.update(autocorr=tuple(rho.tolist()), norm_dev=dev)
+            report["sample_sizes"].update(autocorr=n, norm_dev=pair.bright)
+        return stats, report
 
 
 # ---------------------------------------------------------------------------
@@ -501,16 +490,9 @@ def ward_test(img: RawImage, calibration: Optional[Calibration],
     n = img.pixel_count
     if n != ref.total:
         raise CalibrationError(f"calibration describes images of {ref.total} pixels, not {n}")
-    stats, chi2_p, pair = _WorkSet().judge(img, ref, reference)
+    stats, fields = _WorkSet().judge(img, ref, reference)
     suspicious = any(value > calibration.threshold(name) for name, value in stats.items())
-    report = AnalysisReport(kl_bits=stats["kl"], autocorr=(), norm_dev=math.nan, chi2_pvalue=chi2_p,
-                            verdict="suspicious" if suspicious else "clean",
-                            sample_sizes={"kl": n, "chi2": n})
-    if pair is not None:
-        report.autocorr = tuple(pair.autocorrelation().tolist())
-        report.norm_dev = pair.normalized_deviation()
-        report.sample_sizes.update(autocorr=n, norm_dev=pair.bright)
-    return report
+    return AnalysisReport(verdict="suspicious" if suspicious else "clean", **fields)
 
 
 # ---------------------------------------------------------------------------

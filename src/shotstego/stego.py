@@ -102,7 +102,9 @@ def embed(key: RawImage, cover: RawImage, bits: np.ndarray, full_well: int,
     """Assemble the stego image: a pixel of group b is the cover's if bits[b]
     is 1 and the cover is usable there; every other pixel is the key's."""
     check_same_dims(key, cover)
-    g = block_pixels
+    # every g past the pixel count leaves no whole group; capped, the
+    # zero padding below stays image-sized
+    g = min(block_pixels, key.pixel_count + 1)
     slabs = _slabs(key, full_well, g)
     bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
     out = np.empty(key.pixels.shape, dtype=key.pixels.dtype)
@@ -134,7 +136,7 @@ def extract(stego: RawImage, key: RawImage, full_well: int,
     """Recover bits by comparison: a group decodes to 1 iff any of its
     pixels differs from the key."""
     check_same_dims(stego, key)
-    g = block_pixels
+    g = min(block_pixels, key.pixel_count + 1)  # as in embed
     slabs = _slabs(key, full_well, g)
     bits = np.zeros(-(-key.pixel_count // g), dtype=np.uint8)  # room for every group
     flat_stego, flat_key = stego.pixels.reshape(-1), key.pixels.reshape(-1)

@@ -168,6 +168,38 @@ def test_full_well_out_of_range_exits_2(ws, tmp_path, value):
     assert sorted(tmp_path.iterdir()) == inputs
 
 
+@pytest.mark.parametrize("flag, value, embed_code, extract_code", [
+    ("--block-pixels", 2**50, 1, 3), ("--block-pixels", 10**20, 1, 3),
+    ("--parity-symbols", 252, 0, 0), ("--parity-symbols", 254, 0, 0),
+    ("--parity-symbols", 256, 1, 1),
+    ("--full-well", 0, 2, 2), ("--full-well", 65536, 2, 2),
+    ("--mixing-seed", -1, 0, 0), ("--mixing-seed", 2**64, 0, 0)])
+def test_plan_flag_extremes_exit_cleanly(ws, tmp_path, capsys, flag, value,
+                                         embed_code, extract_code):
+    """One plan flag at an extreme: embed, then extract from what it wrote
+    (from the cover where it wrote nothing). Each exits with its documented
+    code and no traceback, and writes its output only on exit 0, where the
+    message comes back."""
+    assert run("capture", "--width", "200", "--height", "200",
+               "--key-out", ws("k.pgm"), "--cover-out", ws("c.pgm")) == 0
+    message = b"plan flags"  # 4590 coded bytes at parity 254, within 40000 bits
+    with open(ws("m.bin"), "wb") as fh:
+        fh.write(message)
+    assert run("embed", "--key", ws("k.pgm"), "--cover", ws("c.pgm"), "--message", ws("m.bin"),
+               "--stego-out", ws("s.pgm"), flag, str(value)) == embed_code
+    assert os.path.exists(ws("s.pgm")) == (embed_code == 0)
+    stego = ws("s.pgm") if embed_code == 0 else ws("c.pgm")
+    assert run("extract", "--stego", stego, "--key", ws("k.pgm"),
+               "--message-out", ws("out.bin"), flag, str(value)) == extract_code
+    if extract_code == 0:
+        with open(ws("out.bin"), "rb") as fh:
+            assert fh.read() == message
+    else:
+        assert not os.path.exists(ws("out.bin"))
+    assert list(tmp_path.glob("*.tmp")) == []
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_message_too_large_exits_1(ws):
     assert run("capture", "--width", "64", "--height", "64",
                "--key-out", ws("k.pgm"), "--cover-out", ws("c.pgm")) == 0

@@ -434,10 +434,13 @@ def _rs_decode_reference(coded: bytes, nsym: int) -> bytes:
 
 
 def _rs_decode_stream_reference(stream: bytes, nsym: int) -> bytes:
-    if len(stream) >= 255:
+    k = 255 - nsym
+    head = 255 * -(-4 // k)  # the bytes of the full blocks that hold the length field
+    if len(stream) >= head:
         try:
-            first = _rs_correct_block_reference(stream[:255], nsym)
-            need = codec.coded_length(int.from_bytes(first[0:4], "big"), nsym)
+            data = b"".join(_rs_correct_block_reference(stream[i:i + 255], nsym)[:k]
+                            for i in range(0, head, 255))
+            need = codec.coded_length(int.from_bytes(data[:4], "big"), nsym)
             if 255 <= need <= len(stream):
                 return _rs_decode_reference(stream[:need], nsym)
         except DecodeError:
@@ -487,13 +490,13 @@ def test_rs_correct_rows_do_not_interact(nsym):
 
 @st.composite
 def _received_streams(draw):
-    """A coded stream of one to three blocks (eight of one data byte at
-    parity 254) as a receiver may gather it:
+    """A coded stream of one to three blocks (three of up to three data
+    bytes at parity 252, eight of one at 254) as a receiver may gather it:
     byte errors in every block (0..t, exactly t, t + 1 or 40), or a short
     last block one error in its zero padding away from a full-length
     codeword; then kept whole, truncated, followed by filler, or replaced by
     filler alone."""
-    nsym = draw(st.sampled_from([2, 4, 8, 16, 32, 64, 128, 254]))
+    nsym = draw(st.sampled_from([2, 4, 8, 16, 32, 64, 128, 252, 254]))
     t = nsym // 2
     size = draw(st.integers(min_value=0, max_value=max(0, 3 * (255 - nsym) - 8)))
     r = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -533,6 +536,22 @@ def test_rs_decode_matches_scalar_reference(case):
     assert _outcome(rs_decode, data, nsym) == _outcome(_rs_decode_reference, data, nsym)
     assert (_outcome(rs_decode_stream, data, nsym)
             == _outcome(_rs_decode_stream_reference, data, nsym))
+
+
+@pytest.mark.parametrize("nsym", [250, 252, 254])
+def test_rs_decode_stream_at_the_highest_parities(nsym):
+    """Above parity 250 a block holds fewer than 4 data bytes, so the length
+    field spans several blocks; the stream decoder corrects all of them
+    before it reads the length. With t errors in every block and filler
+    after, every payload comes back."""
+    r = random.Random(nsym)
+    for size in (0, 1, 2, 5, 40):
+        payload = r.randbytes(size)
+        coded = bytearray(rs_encode(payload, nsym))
+        for start in range(0, len(coded), 255):
+            for pos in r.sample(range(min(255, len(coded) - start)), nsym // 2):
+                coded[start + pos] ^= r.randint(1, 255)
+        assert rs_decode_stream(bytes(coded) + r.randbytes(300), nsym) == payload
 
 
 def _sha256(data: bytes) -> str:

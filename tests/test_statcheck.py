@@ -390,9 +390,11 @@ def _pair_cases():
 
 def test_pair_statistics_equal_references_bitwise():
     """Both statistics equal their exact values correctly rounded, on
-    capture pairs and on extreme values."""
+    capture pairs, on rows wider than a slab (column chunks whose context
+    lies in the image) and on extreme values."""
     import warnings
-    for key, cover in _pair_cases() + [_extreme_pair()]:
+    wide = capture_pair(make_scene(statcheck._SLAB + 37, 3, "flat", 100.0), SensorConfig(seed=47))
+    for key, cover in _pair_cases() + [wide, _extreme_pair()]:
         assert autocorrelation(key, cover, 8).tobytes() == \
             _autocorr_reference(key, cover, 8).tobytes()
         with warnings.catch_warnings():

@@ -145,6 +145,29 @@ def test_block_pixels_below_1_rejected(g):
         extract(cover, key, full_well, g)
 
 
+@pytest.mark.parametrize("g", ["n", "n + 1", 2**50, 10**20])
+def test_block_pixels_at_and_past_the_pixel_count(g):
+    """A group of all n pixels carries one bit. No group past the pixel
+    count is whole, so a larger g gives no bit, every pixel from the key
+    and no allocation that grows with g."""
+    key, cover = small_pair(seed=86, n=64)
+    full_well, n = every_pixel(key), key.pixel_count
+    g = {"n": n, "n + 1": n + 1}.get(g, g)
+    whole = int(g == n)
+    differ = int(np.count_nonzero(cover.pixels != key.pixels))
+    assert capacity_bits(key, full_well, g) == whole
+    out = embed(key, cover, np.ones(whole, dtype=np.uint8), full_well, g)
+    assert out == (cover if whole else key)
+    decoded = extract(out, key, full_well, g)
+    assert decoded.bits.tolist() == [1] * whole
+    assert decoded.raw_mismatch_count == differ * whole
+    decoded = extract(cover, key, full_well, g)
+    assert decoded.bits.tolist() == [1] * whole
+    assert decoded.raw_mismatch_count == differ
+    with pytest.raises(ValueError, match=f"group count {whole}"):
+        embed(key, cover, np.ones(whole + 1, dtype=np.uint8), full_well, g)
+
+
 @pytest.mark.parametrize("delta", [-1, 1])
 def test_bit_vector_of_wrong_length_rejected(delta):
     """The group count is known only after the walk; a vector one bit short
