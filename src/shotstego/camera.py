@@ -42,16 +42,21 @@ a slab's working arrays stay in the CPU cache. A slab draws the normal
 approximation for every pixel, then overwrites its dark pixels with their
 exact counts before read noise and clipping.
 
+A scene's lambda may be a read-only broadcast view (`make_scene` stores a
+flat scene as one value and a gradient as one row). The camera reads it
+one slab at a time, as a view of a contiguous scene or a copy of the
+slab's rows of any other, so no capture makes an image-sized float array.
+
 `captures` is the one capture path (`capture` takes one image from it). It
 makes the slab's work arrays once and reuses them across the slabs of
 every capture it yields: the counter offsets j * GAMMA, multiplied out
 once so each Box-Muller draw adds one constant to one array; the key-stream
 words and the mix scratch; the float32 uniforms, angles and normals; and
-the slab's float32 lambda with its square root, which a one-slab scene
-without exposure jitter computes once per call. A loop over many captures
-therefore allocates per capture only the uint16 pixel array it yields, and
-the work arrays (about 1.7 MB for a 256^2 scene) are freed with the
-generator.
+the slab's scaled lambda in float32 with its square root, kept with the
+slab's dark pixels (0 < lambda < 60) and their float64 lambda until the
+slab or the exposure factor changes. A loop over many captures therefore
+allocates per capture only the uint16 pixel array it yields, and the work
+arrays (about 1.7 MB for a 256^2 scene) are freed with the generator.
 """
 
 from __future__ import annotations
@@ -81,7 +86,8 @@ _INV_2_53 = 2.0 ** -53  # float64 uniforms keep the top 53 bits
 
 @dataclass
 class SceneRadiance:
-    """Per-pixel expected photon count; ground truth for the simulator."""
+    """Per-pixel expected photon count; ground truth for the simulator.
+    lam may be a read-only broadcast view; the camera reads it slab by slab."""
 
     width: int
     height: int
@@ -129,8 +135,9 @@ class SensorConfig:
 def make_scene(width: int, height: int, pattern: str, mean_level: float) -> SceneRadiance:
     """Build a test scene.
 
-    flat: constant mean_level everywhere.
-    gradient: linear ramp across columns from 0 to 2 * mean_level.
+    flat: constant mean_level everywhere, a read-only broadcast of one value.
+    gradient: linear ramp across columns from 0 to 2 * mean_level, a
+         read-only broadcast of one row.
     pcb: 16x16-pixel tiles cycling bright / mid / dark like a circuit board
          under even light; bright tiles sit at 1.5x the default full well so
          they saturate in capture, dark tiles are unlit. One tile in eight
@@ -141,21 +148,23 @@ def make_scene(width: int, height: int, pattern: str, mean_level: float) -> Scen
     if not (math.isfinite(mean_level) and mean_level >= 0):
         raise ValueError("mean_level must be finite and >= 0")
     if pattern == "flat":
-        lam = np.full((height, width), float(mean_level))
+        lam = np.broadcast_to(np.float64(mean_level), (height, width))
     elif pattern == "gradient":
         if width == 1:
             ramp = np.zeros(1)
         else:
             ramp = 2.0 * mean_level * np.arange(width) / (width - 1)
-        lam = np.tile(ramp, (height, 1))
+        lam = np.broadcast_to(ramp, (height, width))
     elif pattern == "pcb":
-        tile = 16
-        ty = np.arange(height) // tile
-        tx = np.arange(width) // tile
-        role = (tx[None, :] + 3 * ty[:, None]) % 8
-        lam = np.full((height, width), float(mean_level))
-        lam[role == 0] = 1.5 * DEFAULT_FULL_WELL
-        lam[role == 4] = 0.0
+        # tile (tx, ty) takes role (tx + 3 ty) mod 8, built in uint8
+        tile_y = ((3 * (np.arange(height) // 16)) & 7).astype(np.uint8)
+        tile_x = ((np.arange(width) // 16) & 7).astype(np.uint8)
+        role = tile_y[:, None] + tile_x[None, :]
+        role &= 7
+        levels = np.full(8, float(mean_level))
+        levels[0] = 1.5 * DEFAULT_FULL_WELL
+        levels[4] = 0.0
+        lam = levels[role]
     else:
         raise ValueError(f"unknown scene pattern: {pattern!r}")
     return SceneRadiance(width=width, height=height, lam=lam)
@@ -194,7 +203,8 @@ class _SlabWork:
     The counter offsets j * GAMMA are multiplied out once: the words of
     pixel pair p0 + j under one draw are mix(offsets[j] + constant), so each
     Box-Muller draw adds one constant to one array. lam32 and its root hold
-    the slab's scaled lambda; they are recomputed only when the slab or the
+    the slab's scaled lambda, and dark and dark_lam its pixels below the
+    normal approximation; they are recomputed only when the slab or the
     exposure factor changes, so a one-slab image without jitter computes
     them once per call.
     """
@@ -213,18 +223,31 @@ class _SlabWork:
         self.noise = np.empty(slab, dtype=np.float32) if read_noise else None
         self.lam32 = np.empty(slab, dtype=np.float32)
         self.root = np.empty(slab, dtype=np.float32)
+        self.dark = self.dark_lam = None
         self.lam_of = None  # (first pixel, exposure factor) lam32 was filled for
 
-    def scaled_lambda(self, lam: np.ndarray, first: int,
-                      jitter: float) -> tuple[np.ndarray, np.ndarray]:
-        """lam32 and sqrt(lam32) for the slab of lam (already scaled by
-        jitter) that starts at pixel `first`."""
-        lam32, root = self.lam32[:len(lam)], self.root[:len(lam)]
+    def scaled_lambda(self, scene_lam: np.ndarray, first: int, stop: int, jitter: float
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """lam32 and sqrt(lam32) for the pixels first..stop of the scene,
+        scaled by jitter, with the slab offsets of its pixels at
+        0 < lambda < 60 and their scaled float64 lambda."""
+        lam32, root = self.lam32[:stop - first], self.root[:stop - first]
         if self.lam_of != (first, jitter):
+            width = scene_lam.shape[1]
+            r0, r1 = first // width, -(-stop // width)  # the rows the slab touches
+            if width <= _CHUNK:  # a view of a contiguous scene, else a copy of the rows
+                lam = np.ravel(scene_lam[r0:r1])[first - r0 * width:stop - r0 * width]
+            else:  # at most two rows: copy only the slab's part of each
+                lam = np.concatenate([scene_lam[r, max(first - r * width, 0):stop - r * width]
+                                      for r in range(r0, r1)])
+            if jitter != 1.0:
+                lam = lam * jitter
             np.copyto(lam32, lam)
             np.sqrt(lam32, out=root)
+            self.dark = np.flatnonzero((lam > 0) & (lam < NORMAL_APPROX_THRESHOLD))
+            self.dark_lam = lam[self.dark]
             self.lam_of = (first, jitter)
-        return lam32, root
+        return lam32, root, self.dark, self.dark_lam
 
     def _uniforms(self, base: int, first_pair: int, draw: int, u: np.ndarray) -> None:
         """float32 uniforms in (0, 1] into u for the pixel pairs
@@ -321,7 +344,6 @@ def captures(scene: SceneRadiance, sensor: SensorConfig,
     change while the generator runs.
     """
     n = scene.width * scene.height
-    lam_flat = scene.lam.reshape(-1)
     full_well = np.float32(sensor.full_well)
     sigma_r = sensor.read_noise_sigma
     work = _SlabWork(min(n, _CHUNK), sigma_r > 0)
@@ -333,19 +355,15 @@ def captures(scene: SceneRadiance, sensor: SensorConfig,
         out = np.empty(n, dtype=np.uint16)
         for first in range(0, n, _CHUNK):
             stop = min(first + _CHUNK, n)
-            lam = lam_flat[first:stop]
-            if jitter != 1.0:
-                lam = lam * jitter
-            lam32, root = work.scaled_lambda(lam, first, jitter)
+            lam32, root, dark, dark_lam = work.scaled_lambda(scene.lam, first, stop, jitter)
             counts = work.normals(base, first, work.counts[:stop - first])
             counts *= root
             counts += lam32
             np.rint(counts, out=counts)
             # dark pixels overwrite their normal draws with exact counts
-            dark = np.flatnonzero((lam > 0) & (lam < NORMAL_APPROX_THRESHOLD))
             if len(dark):
                 idx = dark.astype(np.uint64) + np.uint64(first)
-                counts[dark] = _poisson_exact(small_base, idx, lam[dark])
+                counts[dark] = _poisson_exact(small_base, idx, dark_lam)
             if sigma_r > 0:
                 np.maximum(counts, np.float32(0.0), out=counts)  # the clip floors otherwise
                 noise = work.normals(noise_base, first, work.noise[:stop - first])

@@ -105,7 +105,7 @@ def _int_in(low: int, high: float = float("inf")):
 
 def _add_plan_flags(p: _Parser) -> None:
     p.add_argument("--parity-symbols", type=int, default=8)
-    p.add_argument("--mixing-seed", type=int, default=1)
+    p.add_argument("--mixing-seed", type=_int_in(0, 2**64 - 1), default=1)
     p.add_argument("--block-pixels", type=_int_in(1), default=1)
     p.add_argument("--full-well", type=int, default=DEFAULT_FULL_WELL,
                    help="full well that bounds the usable pixels")

@@ -333,6 +333,12 @@ def _draws_below(seed: int, bounds: np.ndarray) -> np.ndarray:
     return draws
 
 
+def _check_seed(mixing_seed: int) -> None:
+    """Seeds are 64-bit words: any other integer would alias one mod 2**64."""
+    if not 0 <= mixing_seed <= rng.MASK64:
+        raise CodecError(f"mixing_seed must be in [0, 2**64 - 1], got {mixing_seed}")
+
+
 def mixing_permutation(slot_count: int, mixing_seed: int) -> np.ndarray:
     """Fisher-Yates shuffle of the identity permutation of byte slots.
 
@@ -349,6 +355,7 @@ def mixing_permutation(slot_count: int, mixing_seed: int) -> np.ndarray:
     """
     if slot_count < 1:
         raise CodecError("slot_count must be >= 1")
+    _check_seed(mixing_seed)
     n = slot_count
     if n >= 1 << 31:
         raise CodecError("slot_count must be below 2**31")
@@ -419,6 +426,7 @@ def scatter(coded: bytes, perm: np.ndarray, capacity_bits: int, mixing_seed: int
     Free slots take whole filler bytes in slot order, the tail bits past
     the last slot the leading bits of the next filler byte.
     """
+    _check_seed(mixing_seed)
     slots = capacity_bits // 8
     if len(perm) != slots:
         raise CodecError(f"permutation covers {len(perm)} slots, capacity has {slots}")

@@ -68,8 +68,10 @@ def test_capture_independent_of_chunking(monkeypatch):
     """Counter-based draws: slab size is an implementation detail and must
     never show in the output (stands in for any parallel evaluation order).
     The inputs cover every kind of slab: mixed with saturated and dark
-    tiles, a gradient crossing lambda=60 inside slabs, all large, and all
-    small over a few slabs and over many."""
+    tiles, a gradient crossing lambda=60 inside slabs, all large, all
+    small over a few slabs and over many, and rows wider than a slab (and,
+    at 2^18, narrower), alike or not. A broadcast scene captures like its
+    contiguous copy at every slab size."""
     cases = [
         (make_scene(300, 77, "pcb", 3000), SensorConfig(seed=77, read_noise_sigma=4.0)),
         (make_scene(200, 50, "gradient", 50.0),
@@ -77,11 +79,19 @@ def test_capture_independent_of_chunking(monkeypatch):
         (make_scene(100, 60, "flat", 1e4), SensorConfig(seed=79)),
         (make_scene(100, 60, "flat", 7.5), SensorConfig(seed=80)),
         (make_scene(400, 400, "flat", 30.0), SensorConfig(seed=81)),
+        (make_scene((1 << 17) + 5, 2, "gradient", 40.0),
+         SensorConfig(seed=82, read_noise_sigma=2.0, exposure_jitter_fraction=0.05)),
+        (camera.SceneRadiance((1 << 17) + 5, 2, np.linspace(0.0, 80.0, (1 << 18) + 10)
+                              .reshape(2, -1)), SensorConfig(seed=83)),
     ]
     baselines = [capture(scene, sensor, 0) for scene, sensor in cases]
-    monkeypatch.setattr(camera, "_CHUNK", 1234)
-    for (scene, sensor), baseline in zip(cases, baselines):
-        assert capture(scene, sensor, 0) == baseline
+    for chunk in (camera._CHUNK, 1234, 1 << 18):
+        monkeypatch.setattr(camera, "_CHUNK", chunk)
+        for (scene, sensor), baseline in zip(cases, baselines):
+            copy = camera.SceneRadiance(scene.width, scene.height,
+                                        np.ascontiguousarray(scene.lam))
+            assert capture(scene, sensor, 0) == baseline
+            assert capture(copy, sensor, 0) == baseline
 
 
 @pytest.mark.parametrize("scene, sensor", [

@@ -173,7 +173,7 @@ def test_full_well_out_of_range_exits_2(ws, tmp_path, value):
     ("--parity-symbols", 252, 0, 0), ("--parity-symbols", 254, 0, 0),
     ("--parity-symbols", 256, 1, 1),
     ("--full-well", 0, 2, 2), ("--full-well", 65536, 2, 2),
-    ("--mixing-seed", -1, 0, 0), ("--mixing-seed", 2**64, 0, 0)])
+    ("--mixing-seed", -1, 1, 1), ("--mixing-seed", 2**64, 1, 1)])
 def test_plan_flag_extremes_exit_cleanly(ws, tmp_path, capsys, flag, value,
                                          embed_code, extract_code):
     """One plan flag at an extreme: embed, then extract from what it wrote

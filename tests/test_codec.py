@@ -716,6 +716,19 @@ def test_scatter_rejects_oversized_message():
         scatter(b"12345", perm, 32, 1)
 
 
+def test_mixing_seed_outside_64_bits_rejected():
+    """A seed is a 64-bit word: -1 and 2**64 would alias 2**64 - 1 and 0, so
+    both stages that take the seed refuse them and accept the two ends."""
+    perm = mixing_permutation(4, 0)
+    for seed in (-1, 2**64):
+        with pytest.raises(CodecError, match="mixing_seed"):
+            mixing_permutation(4, seed)
+        with pytest.raises(CodecError, match="mixing_seed"):
+            scatter(b"1", perm, 32, seed)
+    for seed in (0, 2**64 - 1):
+        assert len(scatter(b"1", mixing_permutation(4, seed), 32, seed)) == 32
+
+
 def test_gather_rejects_bit_vector_shorter_than_the_slots():
     """16 bits hold 2 of the 4 slots: reading slot 3 would run off the
     vector, so the call is refused before any slot is read."""

@@ -838,6 +838,17 @@ def test_calibration_memory_stays_bounded():
     assert peak <= 4.5e6
 
 
+@pytest.mark.parametrize("side, pattern, bound", [
+    (4096, "flat", 1e6), (4096, "gradient", 1e6), (2048, "pcb", 1.2 * 8 * 2048 ** 2)])
+def test_scene_memory_stays_the_size_of_its_pattern(side, pattern, bound):
+    """A flat or gradient scene is stored as a broadcast view of one value
+    or one row: building one at 4096^2 peaks at most at 1 MB (a full
+    float64 array is 134 MB). A pcb scene is a full array built from uint8
+    tile roles: at 2048^2 it peaks at most at 1.2x its 33.5 MB (int64 role
+    arrays and bool masks peaked near 2.1x)."""
+    assert _traced_peak(lambda: make_scene(side, side, pattern, 1000.0)) <= bound
+
+
 def _traced_peak(call):
     """The tracemalloc peak of call(), after a warm-up call."""
     call()
