@@ -13,9 +13,12 @@ collision probability to the g-th power.
 
 import math
 
-from scipy.stats import binom
-
 from shotstego.stego import expected_collision_rate
+
+
+def binom_pmf(k: int, n: int, p: float) -> float:
+    return math.comb(n, k) * p ** k * (1 - p) ** (n - k)
+
 
 print("Collision probability vs illumination level:")
 for lam in (100, 1000, 10_000, 40_000, 60_000):
@@ -26,11 +29,11 @@ for lam in (100, 1000, 10_000, 40_000, 60_000):
 print("\nPer-block failure and 16 kB message survival at lambda = 1e4:")
 pc = expected_collision_rate(10_000)
 byte_rate = 1 - sum(
-    binom.pmf(w, 8, 0.5) * (1 - pc) ** w for w in range(9))
+    binom_pmf(w, 8, 0.5) * (1 - pc) ** w for w in range(9))
 print(f"  byte error rate: {byte_rate:.4%}")
 for parity in (8, 16, 24, 32):
     t = parity // 2
-    p_block_fail = 1 - binom.cdf(t, 255, byte_rate)
+    p_block_fail = sum(binom_pmf(e, 255, byte_rate) for e in range(t + 1, 256))
     k = 255 - parity
     n_blocks = math.ceil((16384 + 8) / k)
     p_msg = (1 - p_block_fail) ** n_blocks

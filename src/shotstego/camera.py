@@ -179,17 +179,13 @@ def _stream_offset(base: int, draw: int) -> int:
     return (base + (draw + 1) * DRAW_DELTA) & rng.MASK64
 
 
-def _words(base: int, idx: np.ndarray, draw: int) -> np.ndarray:
-    """The splitmix64 words for (counter idx, draw) under a stream base."""
-    z = idx + np.uint64(1)
-    z *= np.uint64(rng.GAMMA)
-    z += np.uint64(_stream_offset(base, draw))
-    return rng.mix_words(z, np.empty_like(z))
-
-
 def _uniforms64(base: int, idx: np.ndarray, draw: int) -> np.ndarray:
-    """float64 uniforms in [0, 1) from the top 53 bits of the same words."""
-    w = _words(base, idx, draw)
+    """float64 uniforms in [0, 1) from the top 53 bits of the splitmix64
+    words for (counter idx, draw) under a stream base."""
+    w = idx + np.uint64(1)
+    w *= np.uint64(rng.GAMMA)
+    w += np.uint64(_stream_offset(base, draw))
+    rng.mix_words(w, np.empty_like(w))
     w >>= np.uint64(11)
     u = w.view(np.int64).astype(np.float64)
     u *= _INV_2_53

@@ -150,7 +150,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("demo-lsb", help="LSB-embed an image and dump paired "
                                         "histograms for comparison")
     p.add_argument("--image", required=True)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_int_in(0, 2**64 - 1), default=1)
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--bin-width", type=_int_in(1, PGM_MAXVAL + 1), default=1)
 

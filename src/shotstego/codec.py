@@ -407,6 +407,7 @@ def keyed_filler_bits(count: int, seed: int) -> np.ndarray:
     64-bit words of splitmix64(seed XOR FILLER_SALT), consumed MSB-first.
     Statistically a fair coin; keyed so outputs are reproducible.
     """
+    _check_seed(seed)
     return np.unpackbits(_filler_bytes(-(-count // 8), seed), count=count)
 
 

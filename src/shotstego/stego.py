@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .imageio import RawImage, check_same_dims
 
@@ -106,7 +105,10 @@ def embed(key: RawImage, cover: RawImage, bits: np.ndarray, full_well: int,
     # zero padding below stays image-sized
     g = min(block_pixels, key.pixel_count + 1)
     slabs = _slabs(key, full_well, g)
-    bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
+    bits = np.asarray(bits).reshape(-1)
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ValueError("bits must all be 0 or 1")
+    bits = bits.astype(np.uint8, copy=False)
     out = np.empty(key.pixels.shape, dtype=key.pixels.dtype)
     flat_out, flat_key, flat_cover = (im.reshape(-1) for im in (out, key.pixels, cover.pixels))
     cover_flags = np.empty(min(out.size, SLAB_PIXELS), dtype=bool)
@@ -168,15 +170,17 @@ def collision_rate(key: RawImage, cover: RawImage,
 
 def expected_collision_rate(lam: float) -> float:
     """Analytic probability that two independent Poisson(lam) draws agree:
-    sum_k (e^-lam lam^k / k!)^2, truncated at lam +- 12 sqrt(lam) (at least
-    [0, 40]), relative error below 1e-6. Planning aid for parity sizing."""
+    sum_k (e^-lam lam^k / k!)^2, the Skellam pmf at zero, e^-2lam I0(2lam).
+    numpy's I0 serves up to 2lam = 700, where e^2lam still fits a float64;
+    above it I0's asymptotic series (Abramowitz & Stegun 9.7.1) to its sixth
+    correction term, below 1e-17 there. Planning aid for parity sizing."""
     if not 0 <= lam < math.inf:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
-    if lam == 0:
-        return 1.0
-    half = 12.0 * math.sqrt(lam)
-    lo = max(0, int(math.floor(lam - half)))
-    hi = max(40, int(math.ceil(lam + half)))
-    k = np.arange(lo, hi + 1, dtype=np.float64)
-    log_pmf = -lam + k * math.log(lam) - gammaln(k + 1.0)
-    return float(np.exp(2.0 * log_pmf).sum())
+    z = 2.0 * lam
+    if z <= 700:
+        return float(np.exp(-z) * np.i0(z))
+    term = total = 1.0
+    for k in range(1, 7):  # e^-z I0(z) ~ (1 + 1/(8z) + 9/(2! (8z)^2) + ...) / sqrt(2 pi z)
+        term *= (2 * k - 1) ** 2 / (8.0 * k * z)
+        total += term
+    return total / math.sqrt(2.0 * math.pi * z)

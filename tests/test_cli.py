@@ -1,8 +1,12 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shotstego
 from shotstego import cli
 from shotstego.imageio import read_pgm16
 
@@ -74,6 +78,8 @@ def test_block_pixels_below_1_exits_1(ws, command):
     ("calibrate", "--runs", "two"),
     ("demo-lsb", "--bin-width", "0"),
     ("demo-lsb", "--bin-width", "-4"),
+    ("demo-lsb", "--seed", "-1"),
+    ("demo-lsb", "--seed", str(2**64)),
 ])
 def test_bad_flag_values_exit_1(ws, command, flag, value):
     """A flag value out of range is a usage error, rejected before any
@@ -327,3 +333,31 @@ def test_analyze_rejects_invalid_calibration(warden_ws, ws, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not os.path.exists(ws("r.txt"))
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """numpy is the only runtime dependency: with a shadow scipy that
+    refuses to import first on the path, every command of a 128x128 flat
+    lambda = 100 round trip exits 0 in a fresh process, and the payload
+    comes back."""
+    shadow = tmp_path / "shadow" / "scipy"
+    shadow.mkdir(parents=True)
+    (shadow / "__init__.py").write_text("raise ImportError('scipy is not installed')\n")
+    src = Path(shotstego.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(shadow.parent), str(src)]))
+    message = b"numpy alone"
+    (tmp_path / "m.bin").write_bytes(message)
+    scene = ["--width", "128", "--height", "128", "--mean-level", "100"]
+    steps = [
+        ["capture", *scene, "--key-out", "k.pgm", "--cover-out", "c.pgm"],
+        ["embed", "--key", "k.pgm", "--cover", "c.pgm", "--message", "m.bin",
+         "--stego-out", "s.pgm"],
+        ["extract", "--stego", "s.pgm", "--key", "k.pgm", "--message-out", "out.bin"],
+        ["calibrate", *scene, "--runs", "100", "--calibration-out", "flat.cal"],
+        ["analyze", "--image", "s.pgm", "--calibration", "flat.cal", "--report-out", "r.txt"],
+    ]
+    for argv in steps:
+        done = subprocess.run([sys.executable, "-m", "shotstego.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, (argv[0], done.stderr)
+    assert (tmp_path / "out.bin").read_bytes() == message

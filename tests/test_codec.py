@@ -718,15 +718,19 @@ def test_scatter_rejects_oversized_message():
 
 def test_mixing_seed_outside_64_bits_rejected():
     """A seed is a 64-bit word: -1 and 2**64 would alias 2**64 - 1 and 0, so
-    both stages that take the seed refuse them and accept the two ends."""
+    every stage that takes the seed, the filler stream too, refuses them
+    and accepts the two ends."""
     perm = mixing_permutation(4, 0)
     for seed in (-1, 2**64):
         with pytest.raises(CodecError, match="mixing_seed"):
             mixing_permutation(4, seed)
         with pytest.raises(CodecError, match="mixing_seed"):
             scatter(b"1", perm, 32, seed)
+        with pytest.raises(CodecError, match="mixing_seed"):
+            keyed_filler_bits(64, seed)
     for seed in (0, 2**64 - 1):
         assert len(scatter(b"1", mixing_permutation(4, seed), 32, seed)) == 32
+    assert not np.array_equal(keyed_filler_bits(64, 0), keyed_filler_bits(64, 2**64 - 1))
 
 
 def test_gather_rejects_bit_vector_shorter_than_the_slots():

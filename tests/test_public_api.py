@@ -58,11 +58,13 @@ def test_checker_flags_internal_names():
 
 
 def test_import_leaves_scipy_stats_out():
-    """The package and its CLI use scipy.special only; importing scipy.stats
-    would add about 0.6 s and 45 MB to every process and CLI call."""
+    """The package and its CLI need numpy alone and load no scipy module:
+    scipy.special added about 0.23 s and 25 MB of peak RSS to a fresh
+    `import shotstego.cli` (2-core Xeon, compiled from source), and
+    scipy.stats would add about 0.6 s and 45 MB more."""
     src = Path(shotstego.__file__).resolve().parents[1]
     code = ("import sys, shotstego, shotstego.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)

@@ -133,6 +133,17 @@ def test_embed_validates_lengths_and_dims():
         extract(other, key, full_well, 1)
 
 
+@pytest.mark.parametrize("value", [2, 255, -1, 0.5])
+def test_embed_rejects_bits_other_than_0_and_1(value):
+    """A bit that is neither 0 nor 1 is refused before any pixel is
+    chosen; read as uint8 it would have become some other bit silently."""
+    key, cover = small_pair(seed=82, n=32)
+    bits = np.ones(key.pixel_count, dtype=np.asarray(value).dtype)
+    bits[-1] = value
+    with pytest.raises(ValueError, match="0 or 1"):
+        embed(key, cover, bits, every_pixel(key), 1)
+
+
 @pytest.mark.parametrize("g", [0, -3])
 def test_block_pixels_below_1_rejected(g):
     key, cover = small_pair(seed=84, n=16)
@@ -356,6 +367,18 @@ def test_expected_collision_rate_against_brute_force(collision_oracle):
     assert expected_collision_rate(10000.0) == pytest.approx(collision_oracle(10000.0), rel=1e-6)
     assert expected_collision_rate(10000.0) == pytest.approx(
         1.0 / (2.0 * math.sqrt(math.pi * 10000.0)), rel=1e-3)
+    # across 2 lambda = 700, where numpy's I0 hands over to the series
+    for lam in (0.01, 1.0, 30.0, 349.0, 351.0, 1e3, 1e4, 6e4):
+        assert expected_collision_rate(lam) == pytest.approx(collision_oracle(lam), rel=1e-9)
+
+
+@pytest.mark.parametrize("lam", [1e9, 1e12, 1e20])
+def test_expected_collision_rate_at_large_lambda(lam):
+    """Far past any sensor's well, where a sum over k would need ~24
+    sqrt(lambda) terms: the first two terms of the asymptote
+    (1 + 1/(16 lambda)) / (2 sqrt(pi lambda)) hold to double precision."""
+    expect = (1.0 + 1.0 / (16.0 * lam)) / (2.0 * math.sqrt(math.pi * lam))
+    assert expected_collision_rate(lam) == pytest.approx(expect, rel=1e-9)
 
 
 def test_wrong_key_bits_carry_no_payload(collision_oracle):
