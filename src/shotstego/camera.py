@@ -12,7 +12,13 @@ static-scene assumption on purpose (exposure jitter, read noise).
 Randomness is counter-based: every variate is a pure function of
 (seed, capture_index, pixel_index, draw_index) through the splitmix64
 mixing function of `rng`, so output never depends on evaluation or
-chunking order and captures reproduce exactly across platforms. The draw
+chunking order. Captures reproduce exactly for one numpy build on one CPU
+dispatch, not across platforms: numpy picks the SIMD kernels of the
+transcendentals (the normal path's float32 log, cos and sin among them) by
+CPU feature, and the kernels may differ in the last bit. The pinned capture
+bytes assume numpy's default dispatch on an AVX2 or AVX-512 CPU; with
+dispatch held to the X86_V2 baseline, a 4096^2 capture at lambda = 1e4
+differs at 22 pixels. The draw
 for pixel i, draw j is mix64(base + (i+1)*GAMMA + (j+1)*DELTA); the
 stride constants are audited so no two (i, j) pairs of one capture
 collide. The per-capture bases and exposure factors come from the salted
@@ -129,7 +135,8 @@ class SensorConfig:
             raise ValueError(f"read_noise_sigma must be finite and in [0, {MAX_LEVEL:g}]")
         if not (0 <= self.exposure_jitter_fraction < 1):
             raise ValueError("exposure_jitter_fraction must be in [0, 1)")
-        self.seed = self.seed & rng.MASK64
+        if not 0 <= self.seed <= rng.MASK64:  # any other seed would alias one mod 2^64
+            raise ValueError(f"seed must be in [0, 2**64 - 1], got {self.seed}")
 
 
 def make_scene(width: int, height: int, pattern: str, mean_level: float) -> SceneRadiance:
@@ -150,10 +157,7 @@ def make_scene(width: int, height: int, pattern: str, mean_level: float) -> Scen
     if pattern == "flat":
         lam = np.broadcast_to(np.float64(mean_level), (height, width))
     elif pattern == "gradient":
-        if width == 1:
-            ramp = np.zeros(1)
-        else:
-            ramp = 2.0 * mean_level * np.arange(width) / (width - 1)
+        ramp = 2.0 * mean_level * np.arange(width) / max(width - 1, 1)
         lam = np.broadcast_to(ramp, (height, width))
     elif pattern == "pcb":
         # tile (tx, ty) takes role (tx + 3 ty) mod 8, built in uint8
@@ -360,8 +364,10 @@ def captures(scene: SceneRadiance, sensor: SensorConfig,
             if len(dark):
                 idx = dark.astype(np.uint64) + np.uint64(first)
                 counts[dark] = _poisson_exact(small_base, idx, dark_lam)
+            # counts >= 0 before read noise: uniforms >= 2^-40 bound |z| by
+            # sqrt(80 ln 2) < 7.45, and lambda - 7.45 sqrt(lambda) > 2 at
+            # lambda >= 60; dark pixels take exact counts, and lambda = 0 gives +0
             if sigma_r > 0:
-                np.maximum(counts, np.float32(0.0), out=counts)  # the clip floors otherwise
                 noise = work.normals(noise_base, first, work.noise[:stop - first])
                 noise *= np.float32(sigma_r)
                 np.rint(noise, out=noise)

@@ -14,7 +14,7 @@ Exit codes are a stable scripting contract:
 Outputs are written atomically (temp file + rename), and a command that
 writes several removes those already written when a later one fails, so
 no partial artifact survives an error. Every run with fixed seeds is
-byte-reproducible.
+byte-reproducible for one numpy build on one CPU dispatch (see `camera`).
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def _add_sensor_flags(p: _Parser) -> None:
     p.add_argument("--full-well", type=int, default=DEFAULT_FULL_WELL)
     p.add_argument("--read-noise-sigma", type=float, default=0.0)
     p.add_argument("--exposure-jitter-fraction", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_int_in(0, 2**64 - 1), default=1)
 
 
 def _int_in(low: int, high: float = float("inf")):
@@ -125,7 +125,14 @@ def build_parser() -> _Parser:
     p.add_argument("--key-out", required=True)
     p.add_argument("--cover-out", required=True)
 
-    p = sub.add_parser("embed", help="hide a message file in a stego image")
+    p = sub.add_parser("embed", help="hide a message file in a stego image",
+                       description="Hide a message file in a stego image. One key "
+                                   "capture carries one message: two stego images "
+                                   "made with one key share its values at about "
+                                   "a quarter of their pixels, which the warden's "
+                                   "pair statistics flag. A second message needs "
+                                   "a fresh key capture, shared ahead like the "
+                                   "first.")
     p.add_argument("--key", required=True)
     p.add_argument("--cover", required=True)
     p.add_argument("--message", required=True, help="raw payload bytes")

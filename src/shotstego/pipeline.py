@@ -33,7 +33,14 @@ def embed_message(key: RawImage, cover: RawImage, payload: bytes,
                   parity_symbols: int = 8, mixing_seed: int = 1,
                   block_pixels: int = 1,
                   full_well: int = DEFAULT_FULL_WELL) -> EmbedResult:
-    """Alice's side: returns the stego image ready to publish."""
+    """Alice's side: returns the stego image ready to publish.
+
+    One key capture carries one message. The stego image takes about half
+    its pixels from the key, so two stego images made with one key share
+    the key's value at about a quarter of their pixels, and the warden's
+    pair statistics flag the pair. A second message needs a fresh key
+    capture, shared ahead like the first.
+    """
     capacity_bits = stego.capacity_bits(key, full_well, block_pixels)
     payload = bytes(payload)
     coded_length = codec.coded_length(len(payload), parity_symbols)

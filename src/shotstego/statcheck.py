@@ -13,14 +13,15 @@ and a composite verdict: suspicious iff any statistic exceeds its 99th
 percentile under a null distribution calibrated from clean simulated
 captures. No fixed thresholds; the simulator is its own control.
 
-Each statistic has one implementation, a method of the battery's work set
-(`_WorkSet`); the public functions make a work set for one call. One more
-method, `judge`, runs the battery on every image that build_calibration and
-ward_test judge, so the verdict computes exactly what the calibration
-recorded as the null. The list of statistics is the table `_NULLS`: a new
-statistic is one entry there, one line in `judge` and a stated change of
-the calibration file format. The work set walks the images in slabs of at
-most 2^16 pixels, so no work array grows with the image.
+Each statistic has one implementation, a module function that the public
+functions call. One more function, `_judge`, runs the battery on every
+image that build_calibration and ward_test judge, so the verdict computes
+exactly what the calibration recorded as the null. The list of statistics
+is the table `_NULLS`: a new statistic is one entry there, one line in
+`_judge` and a stated change of the calibration file format. The functions
+walk the images in slabs of at most 2^16 pixels, in work arrays that each
+thread holds across calls (see _array), so no work array grows with the
+image.
 
 The two pair statistics come from one walk over the pair, as exact integer
 sums, among them one sum of d = K - C per image column, from which every
@@ -44,6 +45,7 @@ forced 50/50 splits contradict the prediction and the p-value collapses.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -73,9 +75,9 @@ def _chi2_sf(df: int, x: float) -> float:
     and 26.4.5). That is erfc(sqrt(y)) when df is odd, plus
     y^a e^-y / Gamma(a + 1) over a = df/2 - 1, df/2 - 2, ... >= 0, these
     summed in logs from the largest term."""
-    if x <= 0:
-        return 1.0
     y = x / 2
+    if y <= 0:  # x <= 0, or x so small that x / 2 underflows to 0
+        return 1.0
     log_y = math.log(y)
     logs = [a * log_y - y - math.lgamma(a + 1)
             for a in (df / 2 - i for i in range(1, df // 2 + 1))]
@@ -92,6 +94,31 @@ def _slabs(height: int, width: int):
     for r0 in range(0, height, step):
         for c0 in range(0, width, cstep):
             yield slice(r0, min(r0 + step, height)), slice(c0, min(c0 + cstep, width))
+
+
+# The battery's work arrays, held by name and made on first use. None is
+# larger than a slab of _SLAB pixels with max_lag columns of context per
+# row, or the 16-bit value range. Each step is done with its arrays before
+# the next starts, and no result refers to one, so a thread can keep one
+# set across all its calls; each thread has its own set.
+#
+# Exactness rule of the pair walk: d = K - C is an integer below 2^16 in
+# magnitude, so d and each product of two differences are integers below
+# 2^32, and each dot, sum or weighted bincount over a slab adds fewer than
+# 2 * _SLAB <= 2^20 of them. Its result is an integer below 2^52, exact in
+# float64 whatever the order; the slab results are added as Python ints,
+# or as int64 for the column sums and the per-(K + C) sums of d^2 (exact
+# below 2^31 pixels).
+_held = threading.local()
+
+
+def _array(name: str, size: int, dtype) -> np.ndarray:
+    """The first `size` elements of this thread's held array `name`."""
+    arr = getattr(_held, name, None)
+    if arr is None or arr.size < size:
+        arr = np.empty(size, dtype=dtype)
+        setattr(_held, name, arr)
+    return arr[:size]
 
 
 class _PairSums:
@@ -114,13 +141,6 @@ class _PairSums:
     def bright(self) -> int:
         """The pixels with K + C >= 16, which the normalized deviation uses."""
         return self.height * self.width - self.dark
-
-    def add_squares(self, part: np.ndarray) -> None:
-        """Add one slab's sums of d^2 per value of K + C, binned at least as
-        long as the running sums."""
-        part = part.astype(np.int64)
-        part[:len(self.squares)] += self.squares
-        self.squares = part
 
     def autocorrelation(self) -> np.ndarray:
         """rho_j = (n^2 L_j - n s1 (H_j + T_j) + n_j s1^2) / (n_j (n s2 - s1^2)),
@@ -147,147 +167,112 @@ class _PairSums:
         return math.sqrt(math.fsum(q.tolist()) / self.bright)
 
 
-class _WorkSet:
-    """The battery's work arrays and the statistics as methods that use
-    them. The arrays are held by name and made on first use; none is larger
-    than a slab of _SLAB pixels with max_lag columns of context per row, or
-    the 16-bit value range. Each step is done with its arrays before the
-    next starts. Nothing here is shared between calls or outlives the call.
+def _value_counts(img: RawImage) -> np.ndarray:
+    """Counts of every 16-bit value in the image, one bincount per slab.
+    Each slab's pixels are widened into ints, the index array bincount
+    would otherwise allocate."""
+    counts = None
+    for rows, cols in _slabs(img.height, img.width):
+        block = img.pixels[rows, cols]
+        vals = _array("ints", block.size, np.int64)
+        np.copyto(vals.reshape(block.shape), block)
+        part = np.bincount(vals, minlength=_NVALUES)
+        if counts is None:
+            counts = part
+        else:
+            counts += part
+    return counts
 
-    Exactness rule of the pair walk: d = K - C is an integer below 2^16 in
-    magnitude, so d and each product of two differences are integers below
-    2^32, and each dot, sum or weighted bincount over a slab adds fewer
-    than 2 * _SLAB <= 2^20 of them. Its result is an integer below 2^52,
-    exact in float64 whatever the order; the slab results are added as
-    Python ints, or as int64 for the column sums and the per-(K + C) sums
-    of d^2 (exact below 2^31 pixels).
-    """
 
-    def __init__(self):
-        self._arrays: dict = {}
+def _chi2_pvalue(counts: np.ndarray, pixel_count: int) -> float:
+    """chi_square_attack from the counts of every 16-bit value."""
+    if pixel_count < 10_000:
+        raise ValueError("chi-square attack needs an image of >= 1e4 pixels")
+    even = counts[0::2]
+    m = np.add(even, counts[1::2], out=_array("ints", len(even), np.int64))
+    well = np.greater_equal(m, _CHI2_MIN_PAIR, out=_array("flags", len(m), bool))
+    # a pair is tested when it and both neighbours are well populated, so
+    # never the first or the last
+    kk = 1 + np.flatnonzero(well[1:-1] & well[:-2] & well[2:])
+    if kk.size == 0:
+        raise ValueError("insufficient samples: no well-populated value pairs")
+    # integer counts are exact in float64; only the selected pairs are converted
+    m_k, m_next, m_prev, even_k = (
+        x.astype(np.float64) for x in (m[kk], m[kk + 1], m[kk - 1], even[kk]))
+    rho = (m_next / m_prev) ** 0.25
+    q = 1.0 / (1.0 + rho)
+    expected = m_k * q
+    var_log_rho = (1.0 / m_next + 1.0 / m_prev) / 16.0
+    var_q = (rho / (1.0 + rho) ** 2) ** 2 * var_log_rho
+    variance = m_k * q * (1.0 - q) + m_k ** 2 * var_q
+    stat = float(np.sum((even_k - expected) ** 2 / variance))
+    return _chi2_sf(kk.size, stat)
 
-    def _array(self, name: str, size: int, dtype) -> np.ndarray:
-        """The first `size` elements of the held array `name`."""
-        arr = self._arrays.get(name)
-        if arr is None or arr.size < size:
-            arr = self._arrays[name] = np.empty(size, dtype=dtype)
-        return arr[:size]
 
-    def value_counts(self, img: RawImage) -> np.ndarray:
-        """Counts of every 16-bit value in the image, one bincount per slab.
-        Each slab's pixels are widened into ints, the index array bincount
-        would otherwise allocate."""
-        counts = None
-        for rows, cols in _slabs(img.height, img.width):
-            block = img.pixels[rows, cols]
-            vals = self._array("ints", block.size, np.int64)
-            np.copyto(vals.reshape(block.shape), block)
-            part = np.bincount(vals, minlength=_NVALUES)
-            if counts is None:
-                counts = part
-            else:
-                counts += part
-        return counts
+def _pair_sums(key: RawImage, cover: RawImage, max_lag: Optional[int]) -> _PairSums:
+    """The sums of both pair statistics in one walk over the pair; with
+    max_lag None, only those of the normalized deviation."""
+    check_same_dims(key, cover)
+    h, w = key.pixels.shape
+    if max_lag is not None and not (1 <= max_lag < w):
+        raise ValueError("max_lag must be in [1, width)")
+    m = max_lag or 0
+    sums = _PairSums(h, w, m)
+    for rows, cols in _slabs(h, w):
+        k, c = key.pixels[rows, cols], cover.pixels[rows, cols]
+        r, cw = k.shape
+        # each row of d sits behind m columns of context: the m values of
+        # d before it in the image row, zero before column 0. A lag
+        # product whose second factor is in the slab then has its first
+        # factor in the buffer, and none wraps into the next row.
+        padded = _array("reals", r * (m + cw), np.float64).reshape(r, m + cw)
+        flat, d = padded.reshape(-1), padded[:, m:]
+        lo = max(cols.start - m, 0)  # the context columns inside the image start here
+        gap = m - (cols.start - lo)  # and this many before column 0 are zero
+        padded[:, :gap] = 0
+        np.subtract(key.pixels[rows, lo:cols.stop], cover.pixels[rows, lo:cols.stop],
+                    out=padded[:, gap:], dtype=np.float64)
+        for j in range(1, m + 1):
+            sums.lags[j - 1] += int(np.dot(flat[m - j:flat.size - j], flat[m:]))
+        padded[:, :m] = 0  # from here on the context adds nothing
+        sums.columns[cols] += d.sum(axis=0).astype(np.int64)
+        # d^2 per value of K + C, binned at least as long as the running
+        # sums; the context's zero squares go to bin 0
+        np.square(flat, out=flat)
+        ksum = _array("ints", r * (m + cw), np.int64).reshape(r, m + cw)
+        ksum[:, :m] = 0
+        np.add(k, c, out=ksum[:, m:], dtype=np.int64)
+        squares = np.bincount(ksum.reshape(-1), weights=flat,
+                              minlength=len(sums.squares)).astype(np.int64)
+        squares[:len(sums.squares)] += sums.squares
+        sums.squares = squares
+        dark = np.less(ksum[:, m:], 16, out=_array("flags", r * cw, bool).reshape(r, cw))
+        sums.dark += int(np.count_nonzero(dark))
+    return sums
 
-    def kl_bits(self, p_hist: Histogram, q_hist: Histogram, smoothing: float) -> float:
-        """kl_divergence of two histograms of the same binning."""
-        nbins = len(p_hist.counts)
-        p_norm = p_hist.total + smoothing * nbins
-        q_norm = q_hist.total + smoothing * nbins
-        p_empty, q_empty = smoothing / np.array([p_norm, q_norm], dtype=np.float64)
-        terms = self._array("reals", nbins, np.float64)
-        terms.fill(p_empty * np.log2(p_empty / q_empty))
-        used = np.flatnonzero(np.logical_or(p_hist.counts, q_hist.counts,
-                                            out=self._array("flags", nbins, bool)))
-        p = (p_hist.counts[used] + smoothing) / p_norm
-        q = (q_hist.counts[used] + smoothing) / q_norm
-        terms[used] = p * np.log2(p / q)
-        return float(np.sum(terms))
 
-    def chi2_pvalue(self, counts: np.ndarray, pixel_count: int) -> float:
-        """chi_square_attack from the counts of every 16-bit value."""
-        if pixel_count < 10_000:
-            raise ValueError("chi-square attack needs an image of >= 1e4 pixels")
-        even = counts[0::2]
-        m = np.add(even, counts[1::2], out=self._array("ints", len(even), np.int64))
-        well = np.greater_equal(m, _CHI2_MIN_PAIR, out=self._array("flags", len(m), bool))
-        # a pair is tested when it and both neighbours are well populated, so
-        # never the first or the last
-        kk = 1 + np.flatnonzero(well[1:-1] & well[:-2] & well[2:])
-        if kk.size == 0:
-            raise ValueError("insufficient samples: no well-populated value pairs")
-        # integer counts are exact in float64; only the selected pairs are converted
-        m_k, m_next, m_prev, even_k = (
-            x.astype(np.float64) for x in (m[kk], m[kk + 1], m[kk - 1], even[kk]))
-        rho = (m_next / m_prev) ** 0.25
-        q = 1.0 / (1.0 + rho)
-        expected = m_k * q
-        var_log_rho = (1.0 / m_next + 1.0 / m_prev) / 16.0
-        var_q = (rho / (1.0 + rho) ** 2) ** 2 * var_log_rho
-        variance = m_k * q * (1.0 - q) + m_k ** 2 * var_q
-        stat = float(np.sum((even_k - expected) ** 2 / variance))
-        return _chi2_sf(kk.size, stat)
-
-    def pair_sums(self, key: RawImage, cover: RawImage, max_lag: Optional[int]) -> _PairSums:
-        """The sums of both pair statistics in one walk over the pair; with
-        max_lag None, only those of the normalized deviation."""
-        check_same_dims(key, cover)
-        h, w = key.pixels.shape
-        if max_lag is not None and not (1 <= max_lag < w):
-            raise ValueError("max_lag must be in [1, width)")
-        m = max_lag or 0
-        sums = _PairSums(h, w, m)
-        for rows, cols in _slabs(h, w):
-            k, c = key.pixels[rows, cols], cover.pixels[rows, cols]
-            r, cw = k.shape
-            # each row of d sits behind m columns of context: the m values of
-            # d before it in the image row, zero before column 0. A lag
-            # product whose second factor is in the slab then has its first
-            # factor in the buffer, and none wraps into the next row.
-            padded = self._array("reals", r * (m + cw), np.float64).reshape(r, m + cw)
-            flat, d = padded.reshape(-1), padded[:, m:]
-            lo = max(cols.start - m, 0)  # the context columns inside the image start here
-            gap = m - (cols.start - lo)  # and this many before column 0 are zero
-            padded[:, :gap] = 0
-            np.subtract(key.pixels[rows, lo:cols.stop], cover.pixels[rows, lo:cols.stop],
-                        out=padded[:, gap:], dtype=np.float64)
-            for j in range(1, m + 1):
-                sums.lags[j - 1] += int(np.dot(flat[m - j:flat.size - j], flat[m:]))
-            padded[:, :m] = 0  # from here on the context adds nothing
-            sums.columns[cols] += d.sum(axis=0).astype(np.int64)
-            # d^2 per value of K + C; the context's zero squares go to bin 0
-            np.square(flat, out=flat)
-            ksum = self._array("ints", r * (m + cw), np.int64).reshape(r, m + cw)
-            ksum[:, :m] = 0
-            np.add(k, c, out=ksum[:, m:], dtype=np.int64)
-            sums.add_squares(np.bincount(ksum.reshape(-1), weights=flat,
-                                         minlength=len(sums.squares)))
-            dark = np.less(ksum[:, m:], 16, out=self._array("flags", r * cw, bool).reshape(r, cw))
-            sums.dark += int(np.count_nonzero(dark))
-        return sums
-
-    def judge(self, img: RawImage, ref_hist: Histogram,
-              partner: Optional[RawImage]) -> tuple[dict, dict]:
-        """The battery on one image: KL against ref_hist and the chi-square
-        from one count of its values, then the pair statistics of (img,
-        partner) if a partner is given. Returns each statistic in the space
-        of its null, by its name in _NULLS, and the AnalysisReport fields
-        but the verdict."""
-        n = img.pixel_count
-        counts = self.value_counts(img)
-        kl = self.kl_bits(_binned(counts, n, ref_hist.bin_width), ref_hist, KL_SMOOTHING)
-        p = self.chi2_pvalue(counts, n)
-        del counts  # not held through the pair statistics or the next count
-        stats = {"kl": kl, "chi2_logp": -math.log10(max(p, 1e-300))}
-        report = dict(kl_bits=kl, autocorr=(), norm_dev=math.nan, chi2_pvalue=p,
-                      sample_sizes={"kl": n, "chi2": n})
-        if partner is not None:
-            pair = self.pair_sums(img, partner, AUTOCORR_LAGS)
-            rho, dev = pair.autocorrelation(), pair.normalized_deviation()
-            stats.update(autocorr_max=float(np.max(np.abs(rho))), normdev_dev=abs(dev - 1.0))
-            report.update(autocorr=tuple(rho.tolist()), norm_dev=dev)
-            report["sample_sizes"].update(autocorr=n, norm_dev=pair.bright)
-        return stats, report
+def _judge(img: RawImage, ref_hist: Histogram,
+           partner: Optional[RawImage]) -> tuple[dict, dict]:
+    """The battery on one image: KL against ref_hist and the chi-square
+    from one count of its values, then the pair statistics of (img,
+    partner) if a partner is given. Returns each statistic in the space
+    of its null, by its name in _NULLS, and the AnalysisReport fields
+    but the verdict."""
+    n = img.pixel_count
+    counts = _value_counts(img)
+    kl = kl_divergence(_binned(counts, n, ref_hist.bin_width), ref_hist, KL_SMOOTHING)
+    p = _chi2_pvalue(counts, n)
+    del counts  # not held through the pair statistics or the next count
+    stats = {"kl": kl, "chi2_logp": -math.log10(max(p, 1e-300))}
+    report = dict(kl_bits=kl, autocorr=(), norm_dev=math.nan, chi2_pvalue=p,
+                  sample_sizes={"kl": n, "chi2": n})
+    if partner is not None:
+        pair = _pair_sums(img, partner, AUTOCORR_LAGS)
+        rho, dev = pair.autocorrelation(), pair.normalized_deviation()
+        stats.update(autocorr_max=float(np.max(np.abs(rho))), normdev_dev=abs(dev - 1.0))
+        report.update(autocorr=tuple(rho.tolist()), norm_dev=dev)
+        report["sample_sizes"].update(autocorr=n, norm_dev=pair.bright)
+    return stats, report
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +316,7 @@ def _binned(counts: np.ndarray, total: int, bin_width: int) -> Histogram:
 def histogram(img: RawImage, bin_width: int = 1) -> Histogram:
     """Histogram of the image's pixel values; bins of bin_width counts."""
     _check_bin_width(bin_width)
-    return _binned(_WorkSet().value_counts(img), img.pixel_count, bin_width)
+    return _binned(_value_counts(img), img.pixel_count, bin_width)
 
 
 def kl_divergence(p_hist: Histogram, q_hist: Histogram,
@@ -349,7 +334,18 @@ def kl_divergence(p_hist: Histogram, q_hist: Histogram,
         raise ValueError(f"smoothing must be finite and > 0, got {smoothing}")
     if p_hist.bin_width != q_hist.bin_width or len(p_hist.counts) != len(q_hist.counts):
         raise ValueError("histograms use different binning")
-    return _WorkSet().kl_bits(p_hist, q_hist, smoothing)
+    nbins = len(p_hist.counts)
+    p_norm = p_hist.total + smoothing * nbins
+    q_norm = q_hist.total + smoothing * nbins
+    p_empty, q_empty = smoothing / np.array([p_norm, q_norm], dtype=np.float64)
+    terms = _array("reals", nbins, np.float64)
+    terms.fill(p_empty * np.log2(p_empty / q_empty))
+    used = np.flatnonzero(np.logical_or(p_hist.counts, q_hist.counts,
+                                        out=_array("flags", nbins, bool)))
+    p = (p_hist.counts[used] + smoothing) / p_norm
+    q = (q_hist.counts[used] + smoothing) / q_norm
+    terms[used] = p * np.log2(p / q)
+    return float(np.sum(terms))
 
 
 def histogram_csv(hist: Histogram) -> bytes:
@@ -385,14 +381,14 @@ def autocorrelation(key: RawImage, cover: RawImage, max_lag: int = AUTOCORR_LAGS
     """Normalized autocovariance of the capture difference at horizontal
     lags 1..max_lag, rows pooled. Subtracting the two captures cancels the
     static scene, leaving pure noise whose correlation should vanish."""
-    return _WorkSet().pair_sums(key, cover, max_lag).autocorrelation()
+    return _pair_sums(key, cover, max_lag).autocorrelation()
 
 
 def normalized_deviation(key: RawImage, cover: RawImage) -> float:
     """Root mean square of (K - C) / sqrt(K + C) over pixels with
     K + C >= 16. Pure shot noise gives exactly 1 in expectation; identical
     captures give 0; exposure drift pushes it above 1."""
-    return _WorkSet().pair_sums(key, cover, None).normalized_deviation()
+    return _pair_sums(key, cover, None).normalized_deviation()
 
 
 def chi_square_attack(img: RawImage) -> float:
@@ -407,8 +403,7 @@ def chi_square_attack(img: RawImage) -> float:
     null. Small p-value: the splits are too balanced for a genuine smooth
     histogram, the signature of full LSB embedding.
     """
-    work = _WorkSet()
-    return work.chi2_pvalue(work.value_counts(img), img.pixel_count)
+    return _chi2_pvalue(_value_counts(img), img.pixel_count)
 
 
 # ---------------------------------------------------------------------------
@@ -466,19 +461,18 @@ def build_calibration(scene: SceneRadiance, sensor: SensorConfig,
     Capture 0 becomes the KL reference; captures 1..runs provide the KL
     and chi-square nulls; the pairs (i, i - 1) for even i feed the
     pair-statistic nulls. Only the reference histogram and the previous
-    capture are held, with one work set for the camera and one for the
-    statistics.
+    capture are held, with the camera's work arrays for the call and the
+    statistics' held by the thread.
     """
     if runs < 2:
         raise CalibrationError("calibration needs at least 2 runs")
     _check_bin_width(bin_width)
-    work = _WorkSet()
     shots = captures(scene, sensor, range(runs + 1))
     prev = next(shots)
-    ref = _binned(work.value_counts(prev), prev.pixel_count, bin_width)
+    ref = _binned(_value_counts(prev), prev.pixel_count, bin_width)
     nulls = {name: [] for name in _NULLS}
     for i, im in enumerate(shots, start=1):
-        for name, value in work.judge(im, ref, prev if i % 2 == 0 else None)[0].items():
+        for name, value in _judge(im, ref, prev if i % 2 == 0 else None)[0].items():
             nulls[name].append(value)
         prev = im
     desc = f"{scene.width}x{scene.height} mean_lambda={scene.lam.mean():.6g}"
@@ -505,7 +499,7 @@ def ward_test(img: RawImage, calibration: Optional[Calibration],
     n = img.pixel_count
     if n != ref.total:
         raise CalibrationError(f"calibration describes images of {ref.total} pixels, not {n}")
-    stats, fields = _WorkSet().judge(img, ref, reference)
+    stats, fields = _judge(img, ref, reference)
     suspicious = any(value > calibration.threshold(name) for name, value in stats.items())
     return AnalysisReport(verdict="suspicious" if suspicious else "clean", **fields)
 

@@ -17,6 +17,7 @@ def test_gradient_endpoints():
     scene = make_scene(33, 4, "gradient", 500)
     assert np.all(scene.lam[:, 0] == 0)
     assert np.all(scene.lam[:, -1] == 1000)
+    assert np.array_equal(make_scene(1, 4, "gradient", 500).lam, np.zeros((4, 1)))
 
 
 def test_scene_rejects_bad_dimensions():
@@ -26,6 +27,12 @@ def test_scene_rejects_bad_dimensions():
         make_scene(5, -1, "flat", 10)
     with pytest.raises(ValueError):
         make_scene(5, 5, "zebra", 10)
+    with pytest.raises(ValueError, match="dimensions"):
+        camera.SceneRadiance(width=0, height=2, lam=np.zeros((2, 0)))
+    with pytest.raises(ValueError, match="shape"):
+        camera.SceneRadiance(width=2, height=2, lam=np.zeros((2, 3)))
+    with pytest.raises(ValueError, match=">= 0"):
+        camera.SceneRadiance(width=2, height=2, lam=np.full((2, 2), -1.0))
 
 
 def test_pcb_produces_saturated_pixels():
@@ -264,6 +271,11 @@ def test_sensor_config_validation():
         SensorConfig(read_noise_sigma=-1)
     with pytest.raises(ValueError):
         SensorConfig(exposure_jitter_fraction=1.0)
+    # a seed is a 64-bit word: -1 and 2**64 would alias 2**64 - 1 and 0
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            SensorConfig(seed=seed)
+    assert SensorConfig(seed=2**64 - 1).seed == 2**64 - 1
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1e39])

@@ -80,6 +80,10 @@ def test_block_pixels_below_1_exits_1(ws, command):
     ("demo-lsb", "--bin-width", "-4"),
     ("demo-lsb", "--seed", "-1"),
     ("demo-lsb", "--seed", str(2**64)),
+    ("calibrate", "--seed", "-1"),
+    ("calibrate", "--seed", str(2**64)),
+    ("capture", "--seed", "-1"),
+    ("capture", "--seed", str(2**64)),
 ])
 def test_bad_flag_values_exit_1(ws, command, flag, value):
     """A flag value out of range is a usage error, rejected before any
@@ -88,7 +92,9 @@ def test_bad_flag_values_exit_1(ws, command, flag, value):
                "--key-out", ws("k.pgm"), "--cover-out", ws("c.pgm")) == 0
     outputs = {"calibrate": ["--width", "8", "--height", "8",
                              "--calibration-out", ws("out.cal")],
-               "demo-lsb": ["--image", ws("k.pgm"), "--out-prefix", ws("out")]}[command]
+               "demo-lsb": ["--image", ws("k.pgm"), "--out-prefix", ws("out")],
+               "capture": ["--width", "8", "--height", "8",
+                           "--key-out", ws("out-k.pgm"), "--cover-out", ws("out-c.pgm")]}[command]
     assert run(command, *outputs, flag, value) == 1
     assert sorted(os.listdir(os.path.dirname(ws("k.pgm")))) == ["c.pgm", "k.pgm"]
 

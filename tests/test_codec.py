@@ -714,6 +714,8 @@ def test_scatter_rejects_oversized_message():
     perm = mixing_permutation(4, 1)
     with pytest.raises(CodecError, match="too large"):
         scatter(b"12345", perm, 32, 1)
+    with pytest.raises(CodecError, match="permutation covers 3 slots"):
+        scatter(b"1", mixing_permutation(3, 1), 32, 1)
 
 
 def test_mixing_seed_outside_64_bits_rejected():

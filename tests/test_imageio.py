@@ -55,6 +55,8 @@ def test_malformed_header():
         read_pgm16(b"P6\n1 1\n65535\n\x00\x00")
     with pytest.raises(PgmFormatError, match="malformed header"):
         read_pgm16(b"P5 1 1 65535 ")
+    with pytest.raises(PgmFormatError, match="zero image dimension"):
+        read_pgm16(b"P5\n0 1\n65535\n")
 
 
 def test_truncated_and_trailing_data():
@@ -65,6 +67,10 @@ def test_truncated_and_trailing_data():
 
 
 def test_pixel_invariants():
+    with pytest.raises(ValueError, match="dimensions"):
+        RawImage(width=0, height=1, pixels=np.zeros((1, 0), dtype=np.uint16))
+    converted = RawImage(width=2, height=1, pixels=np.array([[0.0, 7.0]]))  # exact values
+    assert converted.pixels.dtype == np.uint16 and converted.pixels.tolist() == [[0, 7]]
     with pytest.raises(ValueError):
         RawImage(width=2, height=2, pixels=np.zeros((2, 3), dtype=np.uint16))
     with pytest.raises(ValueError):

@@ -12,6 +12,8 @@ below 1 and the difference of two counts one of about 1.3 at a flag rate
 of 0.1. The stated margin of 4 is three such deviations.
 """
 
+import math
+
 import pytest
 
 from shotstego.camera import DEFAULT_FULL_WELL, SensorConfig, capture, make_scene
@@ -46,3 +48,28 @@ def test_stego_flagged_at_clean_rate(size, pattern, level, full_well):
     toward the values it rejects, which the warden flags in every image."""
     stego, clean = _flag_counts(make_scene(size, size, pattern, level), full_well, 61000)
     assert abs(stego - clean) <= MARGIN, (stego, clean)
+
+
+def test_key_reuse_is_flagged_in_pair_mode():
+    """One key capture carries one message. Two stego images made with one
+    key share its value at about a quarter of their pixels, so the variance
+    of their difference is about 3/4 of the shot-noise law's: pair-mode
+    ward_test gives a normalized deviation near sqrt(0.75) and flags the
+    pair. Against a stego image made with another key the deviation stays
+    near 1. It records a limit of the scheme; its seeds are not to be
+    changed to hide the leak."""
+    scene = make_scene(256, 256, "flat", 100.0)
+    cal = build_calibration(scene, SensorConfig(seed=62000), runs=100)
+    key, cover1, cover2, other_key, other_cover = (
+        capture(scene, SensorConfig(seed=62001), i) for i in range(5))
+
+    def send(k, c, mixing_seed):
+        return embed_message(k, c, bytes(range(64)), parity_symbols=8,
+                             mixing_seed=mixing_seed).stego_image
+
+    first = send(key, cover1, 1)
+    reused = ward_test(first, cal, reference=send(key, cover2, 2))
+    assert abs(reused.norm_dev - math.sqrt(0.75)) < 0.02, reused.norm_dev
+    assert reused.verdict == "suspicious"
+    fresh = ward_test(first, cal, reference=send(other_key, other_cover, 3))
+    assert abs(fresh.norm_dev - 1.0) < 0.02, fresh.norm_dev

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats as sps
 
 from shotstego import cli, codec, statcheck
@@ -525,6 +525,7 @@ def _assert_chi2_tail_close(p, df, x):
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 35000), st.floats(0.0, 4.0, allow_nan=False))
+@example(1, 5e-324)  # x / 2 underflows to 0: the tail is 1, not log(0)
 def test_chi2_survival_equals_scipy_stats(df, scale):
     """The closed-form tail against scipy's over df 1-35,000 and x from 0
     to 4 df, far into both tails."""
@@ -621,6 +622,8 @@ def test_ward_requires_calibration(calibration):
     starved.n_runs = 10
     with pytest.raises(CalibrationError):
         ward_test(img, starved)
+    with pytest.raises(CalibrationError, match="at least 2 runs"):
+        build_calibration(make_scene(8, 8, "flat", LAM_DETECT), SensorConfig(seed=24), runs=1)
 
 
 @pytest.mark.parametrize("side", [128, 512])
@@ -833,6 +836,38 @@ def test_concurrent_calibrations_equal_serial_ones():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert [results.get(s) for s in seeds] == serial
+
+
+def test_concurrent_ward_tests_equal_serial_ones(calibration):
+    """Each thread holds its own work arrays: 120 pair-mode verdicts split
+    over two threads that switch every 10 us give the report bytes of serial
+    runs (one set of arrays shared by both threads garbled some reports)."""
+    scene = make_scene(256, 256, "flat", LAM_DETECT)
+    shots = [capture(scene, SensorConfig(seed=29500), i) for i in range(16)]
+    jobs = [(a, b) for a in range(16) for b in range(a + 1, 16)]  # 120 pairs
+
+    def judge(job):
+        return write_report(ward_test(shots[job[0]], calibration, reference=shots[job[1]]))
+
+    serial = [judge(job) for job in jobs]
+    results = [None] * len(jobs)
+
+    def work(first):
+        for i in range(first, len(jobs), 2):
+            results[i] = judge(jobs[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(first,)) for first in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == serial
 
 
 def test_calibration_memory_stays_bounded():
