@@ -18,11 +18,13 @@ transcendentals (the normal path's float32 log, cos and sin among them) by
 CPU feature, and the kernels may differ in the last bit. The pinned capture
 bytes assume numpy's default dispatch on an AVX2 or AVX-512 CPU; with
 dispatch held to the X86_V2 baseline, a 4096^2 capture at lambda = 1e4
-differs at 22 pixels. The draw
-for pixel i, draw j is mix64(base + (i+1)*GAMMA + (j+1)*DELTA); the
-stride constants are audited so no two (i, j) pairs of one capture
-collide. The per-capture bases and exposure factors come from the salted
-streams of the sensor seed (`rng.CAPTURE_SALT`, `rng.JITTER_SALT`).
+differs at 22 pixels. Draw j of counter i (a pixel pair on the normal
+path, a pixel on the exact path) is output i + 1 of the `rng` stream
+seeded base + (j+1)*DRAW_DELTA, that is mix64(base + (j+1)*DRAW_DELTA +
+(i+1)*GAMMA); the stride constants are audited so no two (i, j) pairs of
+one capture collide. The base and the exposure factor of capture c come
+from output c + 1 of the salted streams of the sensor seed
+(`rng.CAPTURE_SALT`, `rng.JITTER_SALT`).
 
 Pixels with lambda >= 60 take the rounded normal approximation
 N(lambda, lambda). Its first two moments are Poisson's, but its skewness
@@ -54,20 +56,24 @@ one slab at a time, as a view of a contiguous scene or a copy of the
 slab's rows of any other, so no capture makes an image-sized float array.
 
 `captures` is the one capture path (`capture` takes one image from it). It
-makes the slab's work arrays once and reuses them across the slabs of
-every capture it yields: the counter offsets j * GAMMA, multiplied out
-once so each Box-Muller draw adds one constant to one array; the key-stream
+makes the slab's work arrays once, as locals of the generator, and reuses
+them across the slabs of every capture it yields: one table of the steps
+j * GAMMA (`rng.step_table`), of which the normal path reads a slice and
+the exact path gathers the entries at its dark pixels; the key-stream
 words and the mix scratch; the float32 uniforms, angles and normals; and
 the slab's scaled lambda in float32 with its square root, kept with the
-slab's dark pixels (0 < lambda < 60) and their float64 lambda until the
-slab or the exposure factor changes. A loop over many captures therefore
-allocates per capture only the uint16 pixel array it yields, and the work
-arrays (about 1.7 MB for a 256^2 scene) are freed with the generator.
+slab's dark pixels (0 < lambda < 60), their float64 lambda and their steps
+until the slab or the exposure factor changes. Each generator keeps its own
+such cache, so generators interleaved in one thread do not disturb each
+other. A loop over many captures therefore allocates per capture only the
+uint16 pixel array it yields, and the work arrays (about 2 MB for a 256^2
+scene) are freed with the generator.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -135,6 +141,7 @@ class SensorConfig:
             raise ValueError(f"read_noise_sigma must be finite and in [0, {MAX_LEVEL:g}]")
         if not (0 <= self.exposure_jitter_fraction < 1):
             raise ValueError("exposure_jitter_fraction must be in [0, 1)")
+        self.seed = operator.index(self.seed)  # a numpy integer enters as an int
         if not 0 <= self.seed <= rng.MASK64:  # any other seed would alias one mod 2^64
             raise ValueError(f"seed must be in [0, 2**64 - 1], got {self.seed}")
 
@@ -179,111 +186,27 @@ def make_scene(width: int, height: int, pattern: str, mean_level: float) -> Scen
 # ---------------------------------------------------------------------------
 
 def _stream_offset(base: int, draw: int) -> int:
-    """What a draw under a stream base adds to (counter + 1) * GAMMA."""
+    """The seed of a draw's stream under a stream base."""
     return (base + (draw + 1) * DRAW_DELTA) & rng.MASK64
 
 
-def _uniforms64(base: int, idx: np.ndarray, draw: int) -> np.ndarray:
-    """float64 uniforms in [0, 1) from the top 53 bits of the splitmix64
-    words for (counter idx, draw) under a stream base."""
-    w = idx + np.uint64(1)
-    w *= np.uint64(rng.GAMMA)
-    w += np.uint64(_stream_offset(base, draw))
-    rng.mix_words(w, np.empty_like(w))
-    w >>= np.uint64(11)
-    u = w.view(np.int64).astype(np.float64)
-    u *= _INV_2_53
-    return u
+def _capture_word(sensor: SensorConfig, salt: int, capture_index: int) -> int:
+    """Output capture_index + 1 of the salted stream of the sensor seed."""
+    index = operator.index(capture_index)
+    if not 0 <= index <= rng.MASK64:  # any other index would alias one mod 2^64
+        raise ValueError(f"capture_index must be in [0, 2**64 - 1], got {index}")
+    return rng.output(sensor.seed ^ salt, index + 1)
 
 
-class _SlabWork:
-    """The work arrays of the normal path for slabs of up to `slab` pixels,
-    made once by a `captures` call and reused across its slabs and captures.
-
-    The counter offsets j * GAMMA are multiplied out once: the words of
-    pixel pair p0 + j under one draw are mix(offsets[j] + constant), so each
-    Box-Muller draw adds one constant to one array. lam32 and its root hold
-    the slab's scaled lambda, and dark and dark_lam its pixels below the
-    normal approximation; they are recomputed only when the slab or the
-    exposure factor changes, so a one-slab image without jitter computes
-    them once per call.
-    """
-
-    def __init__(self, slab: int, read_noise: bool):
-        half = (slab + 1) // 2
-        self.offsets = np.arange(half, dtype=np.uint64)
-        self.offsets *= np.uint64(rng.GAMMA)
-        self.words = np.empty(half, dtype=np.uint64)
-        self.shifted = np.empty(half, dtype=np.uint64)  # mix_words' scratch
-        self.radius = np.empty(half, dtype=np.float32)
-        # the angle and its cos/sin reuse the scratch's bytes: the angle is
-        # converted after its own draw's mix, the last of a normals call
-        self.angle, self.trig = self.shifted.view(np.float32).reshape(2, half)
-        self.counts = np.empty(slab, dtype=np.float32)
-        self.noise = np.empty(slab, dtype=np.float32) if read_noise else None
-        self.lam32 = np.empty(slab, dtype=np.float32)
-        self.root = np.empty(slab, dtype=np.float32)
-        self.dark = self.dark_lam = None
-        self.lam_of = None  # (first pixel, exposure factor) lam32 was filled for
-
-    def scaled_lambda(self, scene_lam: np.ndarray, first: int, stop: int, jitter: float
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """lam32 and sqrt(lam32) for the pixels first..stop of the scene,
-        scaled by jitter, with the slab offsets of its pixels at
-        0 < lambda < 60 and their scaled float64 lambda."""
-        lam32, root = self.lam32[:stop - first], self.root[:stop - first]
-        if self.lam_of != (first, jitter):
-            width = scene_lam.shape[1]
-            r0, r1 = first // width, -(-stop // width)  # the rows the slab touches
-            if width <= _CHUNK:  # a view of a contiguous scene, else a copy of the rows
-                lam = np.ravel(scene_lam[r0:r1])[first - r0 * width:stop - r0 * width]
-            else:  # at most two rows: copy only the slab's part of each
-                lam = np.concatenate([scene_lam[r, max(first - r * width, 0):stop - r * width]
-                                      for r in range(r0, r1)])
-            if jitter != 1.0:
-                lam = lam * jitter
-            np.copyto(lam32, lam)
-            np.sqrt(lam32, out=root)
-            self.dark = np.flatnonzero((lam > 0) & (lam < NORMAL_APPROX_THRESHOLD))
-            self.dark_lam = lam[self.dark]
-            self.lam_of = (first, jitter)
-        return lam32, root, self.dark, self.dark_lam
-
-    def _uniforms(self, base: int, first_pair: int, draw: int, u: np.ndarray) -> None:
-        """float32 uniforms in (0, 1] into u for the pixel pairs
-        first_pair.. under a stream base."""
-        w, t = self.words[:len(u)], self.shifted[:len(u)]
-        constant = ((first_pair + 1) * rng.GAMMA + _stream_offset(base, draw)) & rng.MASK64
-        np.add(self.offsets[:len(u)], np.uint64(constant), out=w)
-        rng.mix_words(w, t)
-        w >>= np.uint64(24)
-        # the int64 view is exact below 2^63 and converts faster than uint64
-        np.copyto(u, w.view(np.int64), casting="unsafe")
-        u += np.float32(1.0)
-        u *= _INV_2_40
-
-    def normals(self, base: int, start: int, z: np.ndarray) -> np.ndarray:
-        """One standard normal per pixel start..start+len(z) into z,
-        Box-Muller with the cos/sin pair trick. Uniform pairs are keyed by
-        the absolute pixel-pair id (pixel_index >> 1), so each value is a
-        pure function of the pixel index no matter how the image is
-        chunked. start must be even."""
-        count = len(z)
-        half = (count + 1) // 2
-        r, theta, trig = self.radius[:half], self.angle[:half], self.trig[:half]
-        self._uniforms(base, start >> 1, 0, r)
-        np.log(r, out=r)
-        r *= np.float32(-2.0)
-        np.sqrt(r, out=r)
-        self._uniforms(base, start >> 1, 1, theta)
-        theta *= np.float32(2.0 * np.pi)
-        np.cos(theta, out=trig)
-        trig *= r
-        z[0::2] = trig
-        np.sin(theta, out=trig)
-        trig *= r
-        z[1::2] = trig[: count - half]
-        return z
+def _slab_lambda(scene_lam: np.ndarray, first: int, stop: int) -> np.ndarray:
+    """The scene's lambda at the pixels first..stop-1 in row-major order."""
+    width = scene_lam.shape[1]
+    r0, r1 = first // width, -(-stop // width)  # the rows the slab touches
+    if width <= _CHUNK:  # a view of a contiguous scene, else a copy of the rows
+        return np.ravel(scene_lam[r0:r1])[first - r0 * width:stop - r0 * width]
+    # at most two rows: copy only the slab's part of each
+    return np.concatenate([scene_lam[r, max(first - r * width, 0):stop - r * width]
+                           for r in range(r0, r1)])
 
 
 def _cdf_table() -> np.ndarray:
@@ -302,29 +225,27 @@ def _cdf_table() -> np.ndarray:
 _CDF_TABLE = _cdf_table()
 
 
-def _poisson_exact(base: int, idx: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def _poisson_exact(lam: np.ndarray, u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
     """Exact Poisson counts for 0 < lam < 60 as Poisson(m) + Poisson(f),
-    m = floor(lam) and f = lam - m.
+    m = floor(lam) and f = lam - m, from two float64 uniforms per pixel.
 
-    Draw 0's uniform u gives the smallest k with u < F(k) in row m of
-    _CDF_TABLE by an 8-step binary search. Draw 1's uniform inverts the
-    Poisson(f) CDF term by term, within about ten terms as f < 1; the tail
-    past 20 terms holds under 1/21! of the mass, so only a u above the
-    rounded sum, a chance of a few units of 2^-53, stops there.
+    u0 gives the smallest k with u0 < F(k) in row m of _CDF_TABLE by an
+    8-step binary search. u1 inverts the Poisson(f) CDF term by term,
+    within about ten terms as f < 1; the tail past 20 terms holds under
+    1/21! of the mass, so only a u1 above the rounded sum, a chance of a
+    few units of 2^-53, stops there.
     """
     whole = lam.astype(np.intp)
     at = whole * 256  # the flat index of row m's first entry
-    u = _uniforms64(base, idx, 0)
     flat = _CDF_TABLE.reshape(-1)
     for step in (128, 64, 32, 16, 8, 4, 2, 1):
-        at += (flat.take(at + (step - 1)) <= u) * step
+        at += (flat.take(at + (step - 1)) <= u0) * step
     counts = at - whole * 256
     frac = lam - whole
-    u = _uniforms64(base, idx, 1)
     p = np.exp(-frac)
     cdf = p.copy()
     for k in range(1, 21):
-        more = u >= cdf
+        more = u1 >= cdf
         if not more.any():
             break
         counts += more
@@ -344,31 +265,86 @@ def captures(scene: SceneRadiance, sensor: SensorConfig,
     change while the generator runs.
     """
     n = scene.width * scene.height
+    slab = min(n, _CHUNK)
+    half = (slab + 1) // 2
     full_well = np.float32(sensor.full_well)
     sigma_r = sensor.read_noise_sigma
-    work = _SlabWork(min(n, _CHUNK), sigma_r > 0)
+    steps = rng.step_table(slab)  # pixel pairs read a slice, dark pixels a gather
+    words = np.empty(half, dtype=np.uint64)
+    scratch = np.empty(half, dtype=np.uint64)  # rng.words' scratch
+    radius = np.empty(half, dtype=np.float32)
+    # the angle and its cos/sin reuse the scratch's bytes: the angle is
+    # converted after its own draw's mix, the last of a normals call
+    angle, trig = scratch.view(np.float32).reshape(2, half)
+    counts_work = np.empty(slab, dtype=np.float32)
+    noise_work = np.empty(slab, dtype=np.float32) if sigma_r > 0 else None
+    lam32, root = np.empty((2, slab), dtype=np.float32)
+    lam_of = None  # (first pixel, exposure factor) lam32 was filled for
+
+    def normals(base: int, start: int, z: np.ndarray) -> np.ndarray:
+        """One standard normal per pixel start..start+len(z) into z,
+        Box-Muller with the cos/sin pair trick on float32 uniforms in
+        (0, 1]. Uniform pairs are keyed by the absolute pixel-pair id
+        (pixel_index >> 1), so each value is a pure function of the pixel
+        index no matter how the image is chunked. start must be even."""
+        count = len(z)
+        pairs = (count + 1) // 2
+        r, theta, cs = radius[:pairs], angle[:pairs], trig[:pairs]
+        for draw, u in enumerate((r, theta)):
+            w = rng.words(_stream_offset(base, draw), (start >> 1) + 1, steps[:pairs],
+                          words[:pairs], scratch[:pairs])
+            w >>= np.uint64(24)
+            # the int64 view is exact below 2^63 and converts faster than uint64
+            np.copyto(u, w.view(np.int64), casting="unsafe")
+            u += np.float32(1.0)
+            u *= _INV_2_40
+        np.log(r, out=r)
+        r *= np.float32(-2.0)
+        np.sqrt(r, out=r)
+        theta *= np.float32(2.0 * np.pi)
+        np.cos(theta, out=cs)
+        cs *= r
+        z[0::2] = cs
+        np.sin(theta, out=cs)
+        cs *= r
+        z[1::2] = cs[: count - pairs]
+        return z
+
     for capture_index in indices:
+        base = _capture_word(sensor, rng.CAPTURE_SALT, capture_index)
         jitter = exposure_factor(sensor, capture_index)
-        base = rng.mix((sensor.seed ^ rng.CAPTURE_SALT) + (capture_index + 1) * rng.GAMMA)
         noise_base = rng.mix(base ^ rng.READNOISE_SALT)
         small_base = rng.mix(base ^ rng.POISSON_SMALL_SALT)
         out = np.empty(n, dtype=np.uint16)
         for first in range(0, n, _CHUNK):
             stop = min(first + _CHUNK, n)
-            lam32, root, dark, dark_lam = work.scaled_lambda(scene.lam, first, stop, jitter)
-            counts = work.normals(base, first, work.counts[:stop - first])
-            counts *= root
-            counts += lam32
+            # lam32, its root and the dark pixels (0 < lambda < 60) with their
+            # float64 lambda change only with the slab or the exposure factor
+            if lam_of != (first, jitter):
+                lam = _slab_lambda(scene.lam, first, stop)
+                if jitter != 1.0:
+                    lam = lam * jitter
+                np.copyto(lam32[:stop - first], lam)
+                np.sqrt(lam32[:stop - first], out=root[:stop - first])
+                dark = np.flatnonzero((lam > 0) & (lam < NORMAL_APPROX_THRESHOLD))
+                dark_lam, dark_steps = lam[dark], steps[dark]
+                lam_of = (first, jitter)
+            counts = normals(base, first, counts_work[:stop - first])
+            counts *= root[:stop - first]
+            counts += lam32[:stop - first]
             np.rint(counts, out=counts)
             # dark pixels overwrite their normal draws with exact counts
             if len(dark):
-                idx = dark.astype(np.uint64) + np.uint64(first)
-                counts[dark] = _poisson_exact(small_base, idx, dark_lam)
+                # float64 uniforms in [0, 1) from the top 53 bits of each draw's words
+                w, t = np.empty_like(dark_steps), np.empty_like(dark_steps)
+                u0, u1 = ((rng.words(_stream_offset(small_base, draw), first + 1, dark_steps, w, t)
+                           >> np.uint64(11)).view(np.int64) * _INV_2_53 for draw in (0, 1))
+                counts[dark] = _poisson_exact(dark_lam, u0, u1)
             # counts >= 0 before read noise: uniforms >= 2^-40 bound |z| by
             # sqrt(80 ln 2) < 7.45, and lambda - 7.45 sqrt(lambda) > 2 at
             # lambda >= 60; dark pixels take exact counts, and lambda = 0 gives +0
             if sigma_r > 0:
-                noise = work.normals(noise_base, first, work.noise[:stop - first])
+                noise = normals(noise_base, first, noise_work[:stop - first])
                 noise *= np.float32(sigma_r)
                 np.rint(noise, out=noise)
                 counts += noise
@@ -391,10 +367,10 @@ def capture(scene: SceneRadiance, sensor: SensorConfig, capture_index: int) -> R
 
 def exposure_factor(sensor: SensorConfig, capture_index: int) -> float:
     """This capture's multiplicative exposure factor (1.0 without jitter)."""
+    word = _capture_word(sensor, rng.JITTER_SALT, capture_index)
     f = sensor.exposure_jitter_fraction
     if f == 0:
         return 1.0
-    word = rng.mix((sensor.seed ^ rng.JITTER_SALT) + (capture_index + 1) * rng.GAMMA)
     u = (word >> 11) * 2.0 ** -53
     return 1.0 - f + 2.0 * f * u
 

@@ -31,6 +31,7 @@ zero-padded row, like a short last block, and corrects them all at once.
 from __future__ import annotations
 
 import functools
+import operator
 import zlib
 
 import numpy as np
@@ -333,10 +334,12 @@ def _draws_below(seed: int, bounds: np.ndarray) -> np.ndarray:
     return draws
 
 
-def _check_seed(mixing_seed: int) -> None:
+def _check_seed(mixing_seed: int) -> int:
     """Seeds are 64-bit words: any other integer would alias one mod 2**64."""
+    mixing_seed = operator.index(mixing_seed)
     if not 0 <= mixing_seed <= rng.MASK64:
         raise CodecError(f"mixing_seed must be in [0, 2**64 - 1], got {mixing_seed}")
+    return mixing_seed
 
 
 def mixing_permutation(slot_count: int, mixing_seed: int) -> np.ndarray:
@@ -355,7 +358,7 @@ def mixing_permutation(slot_count: int, mixing_seed: int) -> np.ndarray:
     """
     if slot_count < 1:
         raise CodecError("slot_count must be >= 1")
-    _check_seed(mixing_seed)
+    mixing_seed = _check_seed(mixing_seed)
     n = slot_count
     if n >= 1 << 31:
         raise CodecError("slot_count must be below 2**31")
@@ -407,7 +410,7 @@ def keyed_filler_bits(count: int, seed: int) -> np.ndarray:
     64-bit words of splitmix64(seed XOR FILLER_SALT), consumed MSB-first.
     Statistically a fair coin; keyed so outputs are reproducible.
     """
-    _check_seed(seed)
+    seed = _check_seed(seed)
     return np.unpackbits(_filler_bytes(-(-count // 8), seed), count=count)
 
 
@@ -427,7 +430,7 @@ def scatter(coded: bytes, perm: np.ndarray, capacity_bits: int, mixing_seed: int
     Free slots take whole filler bytes in slot order, the tail bits past
     the last slot the leading bits of the next filler byte.
     """
-    _check_seed(mixing_seed)
+    mixing_seed = _check_seed(mixing_seed)
     slots = capacity_bits // 8
     if len(perm) != slots:
         raise CodecError(f"permutation covers {len(perm)} slots, capacity has {slots}")

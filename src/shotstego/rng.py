@@ -52,9 +52,29 @@ def mix_words(state: np.ndarray, t: np.ndarray) -> np.ndarray:
     return state
 
 
+def output(seed: int, n: int) -> int:
+    """Output n of the stream of `seed`."""
+    return mix(seed + n * GAMMA)
+
+
+def step_table(count: int) -> np.ndarray:
+    """The words j * GAMMA mod 2^64 for j < count: the steps `words` takes."""
+    steps = np.arange(count, dtype=np.uint64)
+    steps *= np.uint64(GAMMA)
+    return steps
+
+
+def words(seed: int, first: int, steps: np.ndarray, out: np.ndarray,
+          scratch: np.ndarray) -> np.ndarray:
+    """Output first + j of the stream of `seed` into out for each word
+    j * GAMMA of `steps`, a slice of a `step_table` or a gather from one.
+    out (which may be steps itself) and the scratch are uint64 arrays of
+    its length, so a caller that draws many stretches allocates nothing."""
+    np.add(steps, np.uint64((seed + first * GAMMA) & MASK64), out=out)
+    return mix_words(out, scratch)
+
+
 def outputs(seed: int, first: int, count: int) -> np.ndarray:
     """Outputs first .. first+count-1 (first >= 1) of the stream of `seed`."""
-    z = np.arange(first, first + count, dtype=np.uint64)
-    z *= np.uint64(GAMMA)
-    z += np.uint64(seed & MASK64)
-    return mix_words(z, np.empty_like(z))
+    steps = step_table(count)
+    return words(seed, first, steps, steps, np.empty_like(steps))

@@ -123,6 +123,59 @@ def test_captures_equal_capture(scene, sensor):
     assert yielded[1] == yielded[3] and yielded[1].pixels is not yielded[3].pixels
 
 
+def test_interleaved_generators_keep_their_own_lambda():
+    """Two generators over different one-slab scenes, stepped in turn in one
+    thread: each keeps its own slab lambda, so every image equals capture()."""
+    jittered = SensorConfig(seed=92, exposure_jitter_fraction=0.05)
+    runs = [(make_scene(96, 64, "flat", 20.0), SensorConfig(seed=92)),
+            (make_scene(96, 64, "gradient", 400.0), SensorConfig(seed=92)),
+            (make_scene(64, 96, "flat", 30.0), jittered)]
+    indices = [0, 1, 1, 0]
+    gens = [camera.captures(scene, sensor, indices) for scene, sensor in runs]
+    for step in zip(*gens):
+        index = indices.pop(0)
+        for img, (scene, sensor) in zip(step, runs):
+            assert img == capture(scene, sensor, index)
+
+
+def test_capture_index_outside_64_bits_rejected():
+    """A capture index is a 64-bit counter: -1 and 2**64 + 3 would alias
+    2**64 - 1 and 3. Both ends are accepted, a numpy integer acts as the
+    equal int, and a float is no index."""
+    scene = make_scene(8, 8, "flat", 100.0)
+    for sensor in (SensorConfig(seed=4), SensorConfig(seed=4, exposure_jitter_fraction=0.05)):
+        for index in (-1, 2**64, 2**64 + 3):
+            with pytest.raises(ValueError, match="capture_index"):
+                capture(scene, sensor, index)
+            with pytest.raises(ValueError, match="capture_index"):
+                camera.exposure_factor(sensor, index)
+        for index in (3.0, "3"):
+            with pytest.raises(TypeError):
+                capture(scene, sensor, index)
+            with pytest.raises(TypeError):
+                camera.exposure_factor(sensor, index)
+        ends = [capture(scene, sensor, i) for i in (0, 3, 2**64 - 1)]
+        assert ends[0] != ends[2] and ends[1] != ends[2]
+        assert capture(scene, sensor, np.int64(3)) == ends[1]
+        assert capture(scene, sensor, np.uint64(2**64 - 1)) == ends[2]
+        assert list(camera.captures(scene, sensor, np.arange(4)))[3] == ends[1]
+        assert camera.exposure_factor(sensor, np.int64(3)) == camera.exposure_factor(sensor, 3)
+
+
+def test_numpy_integer_seeds_act_as_ints():
+    """SensorConfig takes a numpy integer seed as the equal int, so its
+    captures have the bytes of that int's; a float is no seed."""
+    scene = make_scene(40, 30, "gradient", 80.0)
+    sensor = SensorConfig(seed=5, read_noise_sigma=2.0, exposure_jitter_fraction=0.05)
+    want = capture(scene, sensor, 1)
+    for seed in (np.int64(5), np.uint64(5)):
+        other = SensorConfig(seed=seed, read_noise_sigma=2.0, exposure_jitter_fraction=0.05)
+        assert type(other.seed) is int and other.seed == 5
+        assert capture(scene, other, 1) == want
+    with pytest.raises(TypeError):
+        SensorConfig(seed=5.0)
+
+
 def test_capture_pair_repeatable(flat_pair_1m):
     scene = make_scene(1024, 1024, "flat", 10000)
     again = capture_pair(scene, SensorConfig(seed=57))

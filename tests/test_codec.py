@@ -82,6 +82,21 @@ def test_splitmix64_array_matches_scalar():
         assert splitmix.mix_words(state, np.empty_like(state)).tolist() == seq
 
 
+def test_words_match_scalar_outputs():
+    """`rng.words` over a gathered, non-contiguous table of steps j * GAMMA,
+    and at a `first` past 2**63, gives mix(seed + n * GAMMA) at n = first + j;
+    `rng.output` is that scalar."""
+    table = splitmix.step_table(1000)
+    picks = np.array([999, 3, 3, 0, 512, 77])
+    cases = [(table[picks], picks), (table[::7], range(0, 1000, 7)), (table[990:], range(990, 1000))]
+    for seed, first in ((5, 1), (2**64 - 3, 2**63 + 11), (123456789, 2**64 - 2)):
+        for steps, js in cases:
+            out = splitmix.words(seed, first, steps, np.empty_like(steps), np.empty_like(steps))
+            assert out.tolist() == [splitmix.mix(seed + (first + int(j)) * splitmix.GAMMA)
+                                    for j in js]
+        assert splitmix.output(seed, first) == splitmix.mix(seed + first * splitmix.GAMMA)
+
+
 def test_draws_below_matches_reference_rejection():
     """Bounds just above 2**63 reject about half of all outputs, so the
     vectorised draws must resume the stream after each rejected output
@@ -733,6 +748,20 @@ def test_mixing_seed_outside_64_bits_rejected():
     for seed in (0, 2**64 - 1):
         assert len(scatter(b"1", mixing_permutation(4, seed), 32, seed)) == 32
     assert not np.array_equal(keyed_filler_bits(64, 0), keyed_filler_bits(64, 2**64 - 1))
+
+
+def test_numpy_integer_mixing_seeds_act_as_ints():
+    """A numpy integer seed gives the bytes of the equal Python int; a float
+    is no seed."""
+    perm = mixing_permutation(50, 5)
+    for seed in (np.int64(5), np.uint64(5)):
+        assert np.array_equal(mixing_permutation(50, seed), perm)
+        assert np.array_equal(keyed_filler_bits(64, seed), keyed_filler_bits(64, 5))
+        assert np.array_equal(scatter(b"ab", perm, 400, seed), scatter(b"ab", perm, 400, 5))
+    for call in (lambda: mixing_permutation(50, 5.0), lambda: keyed_filler_bits(64, 5.0),
+                 lambda: scatter(b"ab", perm, 400, 5.0)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_gather_rejects_bit_vector_shorter_than_the_slots():

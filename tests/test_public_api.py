@@ -1,8 +1,9 @@
 """The top level holds what a user calls, and the demos use only that.
 
 Internals stay importable from their modules; a demo that needs one
-imports it from there. The demos are parsed, not run, so a trimmed
-top level shows up here without running them.
+imports it from there. The demos' imports are parsed, so a trimmed top
+level shows up here by name, and each demo is also run in a subprocess
+against `src/` and must exit 0.
 """
 
 import ast
@@ -49,6 +50,15 @@ def top_level_imports_outside_all(source: str) -> list[str]:
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_imports_only_public_names(demo):
     assert top_level_imports_outside_all(demo.read_text()) == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    src = Path(shotstego.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, str(demo)], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def test_checker_flags_internal_names():

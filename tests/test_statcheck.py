@@ -758,7 +758,7 @@ def test_write_calibration_writes_the_sum_of_counts():
 
 
 # ---------------------------------------------------------------------------
-# calibration work arrays: same values as the public statistics, per call
+# calibration work arrays: same values as the public statistics, per thread
 # ---------------------------------------------------------------------------
 
 def _calibration_reference(scene, sensor, runs, bin_width):
@@ -812,7 +812,7 @@ def test_verdict_reproduces_calibration():
 
 
 def test_concurrent_calibrations_equal_serial_ones():
-    """Each call owns its work arrays: calibrations running at the same time
+    """Each thread owns its work arrays: calibrations running at the same time
     in more threads than cores give the bytes of serial runs."""
     scene = make_scene(160, 128, "flat", LAM_DETECT)
     seeds = (11, 12, 13)
