@@ -57,17 +57,22 @@ slab's rows of any other, so no capture makes an image-sized float array.
 
 `captures` is the one capture path (`capture` takes one image from it). It
 makes the slab's work arrays once, as locals of the generator, and reuses
-them across the slabs of every capture it yields: one table of the steps
-j * GAMMA (`rng.step_table`), of which the normal path reads a slice and
-the exact path gathers the entries at its dark pixels; the key-stream
-words and the mix scratch; the float32 uniforms, angles and normals; and
-the slab's scaled lambda in float32 with its square root, kept with the
-slab's dark pixels (0 < lambda < 60), their float64 lambda and their steps
-until the slab or the exposure factor changes. Each generator keeps its own
-such cache, so generators interleaved in one thread do not disturb each
-other. A loop over many captures therefore allocates per capture only the
-uint16 pixel array it yields, and the work arrays (about 2 MB for a 256^2
-scene) are freed with the generator.
+them across the slabs of every capture it yields: the table of the steps
+j * GAMMA of a slab's pixel pairs (`rng.step_table`), of which the normal
+path reads a slice; the key-stream words and the mix scratch; the float32
+uniforms, angles and normals; and the slab's scaled lambda in float32 with
+its square root, kept with the slab's dark pixels (0 < lambda < 60), their
+float64 lambda and their steps (`rng.steps_at`) for as long as the slab's
+length, its exposure factor and its phase in the scene's period stay the
+same. The period is the image for a contiguous scene, a row for a row
+broadcast and one pixel for a flat one, so all slabs of a gradient whose
+width divides _CHUNK share one preparation per capture. Each generator
+keeps its own such cache, so generators interleaved in one thread do not
+disturb each other. A loop over many captures therefore allocates per
+capture the uint16 pixel array it yields and, in slabs with dark pixels,
+the exact sampler's temporaries, sized by those pixels; the work arrays
+(2.1 MiB for a flat 256^2 scene, 2.4 MiB with read noise) are freed with the
+generator.
 """
 
 from __future__ import annotations
@@ -260,16 +265,16 @@ def captures(scene: SceneRadiance, sensor: SensorConfig,
     to `capture(scene, sensor, index)` and each with its own pixel array.
 
     The slab work arrays are made once here and reused across the slabs
-    of every capture, so a loop over many captures allocates only their
-    pixel arrays; they are freed with the generator. The scene must not
-    change while the generator runs.
+    of every capture, so a loop over many captures allocates little beyond
+    their pixel arrays; they are freed with the generator. The scene must
+    not change while the generator runs.
     """
     n = scene.width * scene.height
     slab = min(n, _CHUNK)
     half = (slab + 1) // 2
     full_well = np.float32(sensor.full_well)
     sigma_r = sensor.read_noise_sigma
-    steps = rng.step_table(slab)  # pixel pairs read a slice, dark pixels a gather
+    steps = rng.step_table(half)  # the pixel pairs of a slab read a slice
     words = np.empty(half, dtype=np.uint64)
     scratch = np.empty(half, dtype=np.uint64)  # rng.words' scratch
     radius = np.empty(half, dtype=np.float32)
@@ -279,7 +284,11 @@ def captures(scene: SceneRadiance, sensor: SensorConfig,
     counts_work = np.empty(slab, dtype=np.float32)
     noise_work = np.empty(slab, dtype=np.float32) if sigma_r > 0 else None
     lam32, root = np.empty((2, slab), dtype=np.float32)
-    lam_of = None  # (first pixel, exposure factor) lam32 was filled for
+    # lambda at pixel i + period equals lambda at i: a flat broadcast repeats
+    # every pixel, a row broadcast every row
+    strides = scene.lam.strides
+    period = n if strides[0] else scene.width if strides[1] else 1
+    lam_of = None  # (phase, length, exposure factor) lam32 was filled for
 
     def normals(base: int, start: int, z: np.ndarray) -> np.ndarray:
         """One standard normal per pixel start..start+len(z) into z,
@@ -319,16 +328,18 @@ def captures(scene: SceneRadiance, sensor: SensorConfig,
         for first in range(0, n, _CHUNK):
             stop = min(first + _CHUNK, n)
             # lam32, its root and the dark pixels (0 < lambda < 60) with their
-            # float64 lambda change only with the slab or the exposure factor
-            if lam_of != (first, jitter):
+            # float64 lambda and steps depend on the slab's phase in the
+            # period, its length and the exposure factor alone
+            slab_of = (first % period, stop - first, jitter)
+            if lam_of != slab_of:
                 lam = _slab_lambda(scene.lam, first, stop)
                 if jitter != 1.0:
                     lam = lam * jitter
                 np.copyto(lam32[:stop - first], lam)
                 np.sqrt(lam32[:stop - first], out=root[:stop - first])
                 dark = np.flatnonzero((lam > 0) & (lam < NORMAL_APPROX_THRESHOLD))
-                dark_lam, dark_steps = lam[dark], steps[dark]
-                lam_of = (first, jitter)
+                dark_lam, dark_steps = lam[dark], rng.steps_at(dark)
+                lam_of = slab_of
             counts = normals(base, first, counts_work[:stop - first])
             counts *= root[:stop - first]
             counts += lam32[:stop - first]

@@ -57,17 +57,21 @@ def output(seed: int, n: int) -> int:
     return mix(seed + n * GAMMA)
 
 
+def steps_at(js: np.ndarray) -> np.ndarray:
+    """The words j * GAMMA mod 2^64 for each j >= 0 of an integer array:
+    the steps `words` takes to outputs first + j."""
+    return np.multiply(js, np.uint64(GAMMA), dtype=np.uint64, casting="unsafe")
+
+
 def step_table(count: int) -> np.ndarray:
-    """The words j * GAMMA mod 2^64 for j < count: the steps `words` takes."""
-    steps = np.arange(count, dtype=np.uint64)
-    steps *= np.uint64(GAMMA)
-    return steps
+    """The steps of j < count, `steps_at(range(count))`."""
+    return steps_at(np.arange(count, dtype=np.uint64))
 
 
 def words(seed: int, first: int, steps: np.ndarray, out: np.ndarray,
           scratch: np.ndarray) -> np.ndarray:
     """Output first + j of the stream of `seed` into out for each word
-    j * GAMMA of `steps`, a slice of a `step_table` or a gather from one.
+    j * GAMMA of `steps`, from `steps_at` or a slice of a `step_table`.
     out (which may be steps itself) and the scratch are uint64 arrays of
     its length, so a caller that draws many stretches allocates nothing."""
     np.add(steps, np.uint64((seed + first * GAMMA) & MASK64), out=out)

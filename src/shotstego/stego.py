@@ -55,29 +55,35 @@ class DecodedBits:
     raw_mismatch_count: int
 
 
-def _usable(px: np.ndarray, full_well: int, out: np.ndarray) -> np.ndarray:
-    """Flag into out the pixels that can carry a bit: DARK_FLOOR <= px < full_well."""
-    np.less(px, full_well, out=out)
-    out &= px >= DARK_FLOOR
-    return out
+def _usable(px: np.ndarray, full_well: int, out: np.ndarray,
+            scratch: np.ndarray) -> np.ndarray:
+    """Flag into out the pixels that can carry a bit: DARK_FLOOR <= px < full_well,
+    as one compare of px - DARK_FLOOR, which wraps below the floor, held in
+    the uint16 scratch."""
+    np.subtract(px, np.uint16(DARK_FLOOR), out=scratch)
+    return np.less(scratch, np.uint16(max(full_well - DARK_FLOOR, 0)), out=out)
 
 
-def _slabs(key: RawImage, full_well: int, g: int = 1):
+def _slabs(key: RawImage, full_well: int, g: int = 1, scratch: Optional[np.ndarray] = None):
     """Walk the key in slabs, flagging its usable pixels. A full well
     outside [1, 65535] or g < 1 is refused on the call, before any slab.
     Yields the slab's pixel slice and its flags, a buffer the next slab
-    overwrites."""
+    overwrites. The walk overwrites the slab's part of `scratch`, a flat
+    uint16 array of the key's size, or else holds a slab-sized one."""
     if not 1 <= full_well <= 65535:
         raise ValueError("full_well must be in [1, 65535] so counts fit 16 bits")
     if g < 1:
         raise ValueError("block_pixels must be >= 1")
     px = key.pixels.reshape(-1)
     flags = np.empty(min(px.size, SLAB_PIXELS), dtype=bool)
+    held = np.empty(flags.size, dtype=np.uint16) if scratch is None else None
 
     def walk():
         for s in range(0, px.size, SLAB_PIXELS):
             k = px[s:s + SLAB_PIXELS]
-            yield slice(s, s + k.size), _usable(k, full_well, flags[:k.size])
+            part = slice(s, s + k.size)
+            work = held[:k.size] if scratch is None else scratch[part]
+            yield part, _usable(k, full_well, flags[:k.size], work)
 
     return walk()
 
@@ -104,13 +110,13 @@ def embed(key: RawImage, cover: RawImage, bits: np.ndarray, full_well: int,
     # every g past the pixel count leaves no whole group; capped, the
     # zero padding below stays image-sized
     g = min(block_pixels, key.pixel_count + 1)
-    slabs = _slabs(key, full_well, g)
+    out = np.empty(key.pixels.shape, dtype=key.pixels.dtype)
+    flat_out, flat_key, flat_cover = (im.reshape(-1) for im in (out, key.pixels, cover.pixels))
+    slabs = _slabs(key, full_well, g, flat_out)  # each slab of out is written last
     bits = np.asarray(bits).reshape(-1)
     if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("bits must all be 0 or 1")
     bits = bits.astype(np.uint8, copy=False)
-    out = np.empty(key.pixels.shape, dtype=key.pixels.dtype)
-    flat_out, flat_key, flat_cover = (im.reshape(-1) for im in (out, key.pixels, cover.pixels))
     cover_flags = np.empty(min(out.size, SLAB_PIXELS), dtype=bool)
     rank = 0
     for part, m in slabs:
@@ -122,10 +128,10 @@ def embed(key: RawImage, cover: RawImage, bits: np.ndarray, full_well: int,
         row.reshape(-1, g)[:len(take)] = take[:, None]
         where = np.zeros(m.shape, dtype=bool)
         where[m] = row[lead:lead + used]
-        k, c = flat_key[part], flat_cover[part]
-        where &= _usable(c, full_well, cover_flags[:m.size])
+        k, c, o = flat_key[part], flat_cover[part], flat_out[part]
+        where &= _usable(c, full_well, cover_flags[:m.size], o)
         # k ^ ((k ^ c) * where) in place: a masked copy mispredicts a branch per pixel
-        o = np.bitwise_xor(k, c, out=flat_out[part])
+        np.bitwise_xor(k, c, out=o)
         o *= where
         o ^= k
     if len(bits) != rank // g:

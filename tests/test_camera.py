@@ -77,8 +77,10 @@ def test_capture_independent_of_chunking(monkeypatch):
     The inputs cover every kind of slab: mixed with saturated and dark
     tiles, a gradient crossing lambda=60 inside slabs, all large, all
     small over a few slabs and over many, and rows wider than a slab (and,
-    at 2^18, narrower), alike or not. A broadcast scene captures like its
-    contiguous copy at every slab size."""
+    at 2^18, narrower), alike or not. Two row broadcasts whose width
+    divides the slab (512 at 2^17, a hand-built irregular row of 617 at
+    1234) give slabs of one lambda ending in a shorter one. A broadcast
+    scene captures like its contiguous copy at every slab size."""
     cases = [
         (make_scene(300, 77, "pcb", 3000), SensorConfig(seed=77, read_noise_sigma=4.0)),
         (make_scene(200, 50, "gradient", 50.0),
@@ -90,6 +92,11 @@ def test_capture_independent_of_chunking(monkeypatch):
          SensorConfig(seed=82, read_noise_sigma=2.0, exposure_jitter_fraction=0.05)),
         (camera.SceneRadiance((1 << 17) + 5, 2, np.linspace(0.0, 80.0, (1 << 18) + 10)
                               .reshape(2, -1)), SensorConfig(seed=83)),
+        (make_scene(512, 700, "gradient", 80.0),
+         SensorConfig(seed=84, read_noise_sigma=2.0, exposure_jitter_fraction=0.05)),
+        (camera.SceneRadiance(617, 9, np.broadcast_to(np.arange(617) * 7919 % 617 * 0.2,
+                                                      (9, 617))),
+         SensorConfig(seed=85, read_noise_sigma=1.5, exposure_jitter_fraction=0.05)),
     ]
     baselines = [capture(scene, sensor, 0) for scene, sensor in cases]
     for chunk in (camera._CHUNK, 1234, 1 << 18):
@@ -105,12 +112,15 @@ def test_capture_independent_of_chunking(monkeypatch):
     (make_scene(400, 700, "gradient", 80.0), SensorConfig(seed=90)),
     (make_scene(200, 150, "flat", 500.0),
      SensorConfig(seed=91, read_noise_sigma=3.0, exposure_jitter_fraction=0.05)),
-], ids=["gradient-3-slabs", "flat-1-slab-jitter-noise"])
+    (make_scene(512, 700, "gradient", 80.0),
+     SensorConfig(seed=93, read_noise_sigma=2.0, exposure_jitter_fraction=0.05)),
+], ids=["gradient-3-slabs", "flat-1-slab-jitter-noise", "row-broadcast-short-last-slab-jitter"])
 def test_captures_equal_capture(scene, sensor):
     """The generator reuses its work arrays across captures, out of order
     and repeated, over several slabs and over one (whose lambda it keeps
-    while the exposure factor stays the same); each yielded image equals
-    capture() and stays unchanged after the generator is exhausted."""
+    while the exposure factor stays the same), and over slabs of one lambda
+    that end in a shorter one; each yielded image equals capture() and
+    stays unchanged after the generator is exhausted."""
     indices = [5, 0, 3, 0]
     yielded, at_yield = [], []
     for img in camera.captures(scene, sensor, indices):
@@ -121,6 +131,25 @@ def test_captures_equal_capture(scene, sensor):
         assert np.array_equal(img.pixels, pixels)
         assert img == capture(scene, sensor, index)
     assert yielded[1] == yielded[3] and yielded[1].pixels is not yielded[3].pixels
+
+
+def test_row_broadcast_slabs_prepare_lambda_once(monkeypatch):
+    """A slab's lambda is read once per phase in the scene's period, slab
+    length and exposure factor: once for a 3-slab row broadcast whose width
+    divides the slab, once per slab for its contiguous copy, and once per
+    capture when the exposure factor changes."""
+    slab_lambda, reads = camera._slab_lambda, []
+    monkeypatch.setattr(camera, "_slab_lambda",
+                        lambda lam, first, stop: reads.append(first) or slab_lambda(lam, first, stop))
+    monkeypatch.setattr(camera, "_CHUNK", 1024)
+    scene = make_scene(64, 48, "gradient", 80.0)
+    copy = camera.SceneRadiance(64, 48, np.ascontiguousarray(scene.lam))
+    sensor = SensorConfig(seed=94)
+    assert capture(scene, sensor, 0) == capture(copy, sensor, 0)
+    assert reads == [0, 0, 1024, 2048]
+    reads.clear()
+    list(camera.captures(scene, SensorConfig(seed=94, exposure_jitter_fraction=0.05), [0, 1]))
+    assert reads == [0, 0]
 
 
 def test_interleaved_generators_keep_their_own_lambda():

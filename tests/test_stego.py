@@ -314,6 +314,20 @@ def test_default_mask_across_slabs(multi_slab_images, full_well):
         assert np.array_equal(mask, multi_slab_images[3])
 
 
+@pytest.mark.parametrize("full_well", [1, 15, 16, 17, 50000, 65535])
+def test_usable_rule_at_every_value(full_well):
+    """The usable rule, one compare that wraps below the dark floor, flags
+    exactly DARK_FLOOR <= v < full_well at every 16-bit value, for the key
+    and for the cover embed checks, also at full wells at or below the floor."""
+    values = np.arange(1 << 16, dtype=np.uint16).reshape(256, 256)
+    key, cover = RawImage(256, 256, values), RawImage(256, 256, values[::-1, ::-1].copy())
+    rule = [(im.pixels >= stego.DARK_FLOOR) & (im.pixels < full_well) for im in (key, cover)]
+    assert np.array_equal(default_usable_mask(key, full_well), rule[0])
+    bits = np.ones(capacity_bits(key, full_well, 1), dtype=np.uint8)
+    want = np.where(rule[0] & rule[1], cover.pixels, key.pixels)
+    assert np.array_equal(embed(key, cover, bits, full_well, 1).pixels, want)
+
+
 @pytest.mark.parametrize("full_well", [0, -3, 65536, 70000])
 def test_default_mask_rejects_full_well_out_of_range(full_well):
     """Every function that applies the usable rule refuses the full well."""
