@@ -71,7 +71,7 @@ keeps its own such cache, so generators interleaved in one thread do not
 disturb each other. A loop over many captures therefore allocates per
 capture the uint16 pixel array it yields and, in slabs with dark pixels,
 the exact sampler's temporaries, sized by those pixels; the work arrays
-(2.1 MiB for a flat 256^2 scene, 2.4 MiB with read noise) are freed with the
+(1.6 MiB for a flat 256^2 scene, 1.9 MiB with read noise) are freed with the
 generator.
 """
 
@@ -140,6 +140,7 @@ class SensorConfig:
     seed: int = 1
 
     def __post_init__(self):
+        self.full_well = operator.index(self.full_well)  # a fractional full well is refused
         if not (1 <= self.full_well <= 65535):
             raise ValueError("full_well must be in [1, 65535] so counts fit 16 bits")
         if not 0 <= self.read_noise_sigma <= MAX_LEVEL:  # NaN fails this test too
@@ -339,6 +340,7 @@ def captures(scene: SceneRadiance, sensor: SensorConfig,
                 np.sqrt(lam32[:stop - first], out=root[:stop - first])
                 dark = np.flatnonzero((lam > 0) & (lam < NORMAL_APPROX_THRESHOLD))
                 dark_lam, dark_steps = lam[dark], rng.steps_at(dark)
+                del lam  # only its dark pixels are read again
                 lam_of = slab_of
             counts = normals(base, first, counts_work[:stop - first])
             counts *= root[:stop - first]

@@ -27,8 +27,7 @@ import sys
 from . import codec, pipeline, statcheck
 from .camera import DEFAULT_FULL_WELL, SensorConfig, capture, capture_pair, make_scene
 from .codec import CodecError, DecodeError
-from .imageio import PGM_MAXVAL, PgmFormatError, read_pgm16, write_pgm16, write_report
-from .statcheck import CalibrationError
+from .imageio import PGM_MAXVAL, read_pgm16, write_pgm16, write_report
 
 
 class UsageError(Exception):
@@ -267,15 +266,13 @@ def main(argv=None) -> int:
     except (UsageError, CodecError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, PgmFormatError, CalibrationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DecodeError as exc:
         print(f"decode failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        # unsuitable inputs surfaced by the library (mismatched image
-        # dimensions, image too small for a statistic, ...)
+    except (OSError, ValueError) as exc:
+        # unreadable files, malformed PGM or calibration text, and unsuitable
+        # inputs surfaced by the library (mismatched image dimensions, image
+        # too small for a statistic, ...)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

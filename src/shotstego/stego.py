@@ -26,15 +26,17 @@ an unusable x only from the key, so P(S = x) = P(x) for any share b of
 1-bits. A 1-bit whose cover pixels are all unusable reads as 0.
 
 One walker, `_slabs`, flags the usable pixels for every pass over the
-image, in slabs of SLAB_PIXELS, so its temporaries are slab-sized and the
-outputs are the only image-sized arrays. Grouping is rank arithmetic: the
-usable pixel of rank r, counted in row-major order over the whole image,
-belongs to bit r // g, and embed and extract carry r across slabs.
+image, in slabs of SLAB_PIXELS. Its temporaries are slab-sized, made afresh
+per slab and held by no call, so the outputs are the only image-sized
+arrays. Grouping is rank arithmetic: the usable pixel of rank r, counted in
+row-major order over the whole image, belongs to bit r // g, and embed and
+extract carry r across slabs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,7 +45,7 @@ import numpy as np
 from .imageio import RawImage, check_same_dims
 
 DARK_FLOOR = 16  # counts below this carry mostly electronic noise
-SLAB_PIXELS = 1 << 18  # pixels per slab: 256 kB of bool temporaries each
+SLAB_PIXELS = 1 << 18  # pixels per slab: a walk makes 768 kB of temporaries per slab
 
 
 @dataclass
@@ -55,37 +57,25 @@ class DecodedBits:
     raw_mismatch_count: int
 
 
-def _usable(px: np.ndarray, full_well: int, out: np.ndarray,
-            scratch: np.ndarray) -> np.ndarray:
-    """Flag into out the pixels that can carry a bit: DARK_FLOOR <= px < full_well,
-    as one compare of px - DARK_FLOOR, which wraps below the floor, held in
-    the uint16 scratch."""
-    np.subtract(px, np.uint16(DARK_FLOOR), out=scratch)
-    return np.less(scratch, np.uint16(max(full_well - DARK_FLOOR, 0)), out=out)
+def _usable(px: np.ndarray, full_well: int) -> np.ndarray:
+    """Flag the pixels that can carry a bit: DARK_FLOOR <= px < full_well, as
+    one compare of px - DARK_FLOOR, which wraps below the floor."""
+    return (px - np.uint16(DARK_FLOOR)) < np.uint16(max(full_well - DARK_FLOOR, 0))
 
 
-def _slabs(key: RawImage, full_well: int, g: int = 1, scratch: Optional[np.ndarray] = None):
-    """Walk the key in slabs, flagging its usable pixels. A full well
-    outside [1, 65535] or g < 1 is refused on the call, before any slab.
-    Yields the slab's pixel slice and its flags, a buffer the next slab
-    overwrites. The walk overwrites the slab's part of `scratch`, a flat
-    uint16 array of the key's size, or else holds a slab-sized one."""
+def _slabs(key: RawImage, full_well: int, g: int = 1):
+    """Walk the key in slabs, flagging its usable pixels. A full well that
+    is not an integer in [1, 65535] or g < 1 is refused on the call, before
+    any slab. Yields the slab's pixel slice and its flags, fresh temporaries
+    of each slab; the walk holds no buffer."""
+    full_well = operator.index(full_well)  # the compare is exact for integers only
     if not 1 <= full_well <= 65535:
         raise ValueError("full_well must be in [1, 65535] so counts fit 16 bits")
     if g < 1:
         raise ValueError("block_pixels must be >= 1")
     px = key.pixels.reshape(-1)
-    flags = np.empty(min(px.size, SLAB_PIXELS), dtype=bool)
-    held = np.empty(flags.size, dtype=np.uint16) if scratch is None else None
-
-    def walk():
-        for s in range(0, px.size, SLAB_PIXELS):
-            k = px[s:s + SLAB_PIXELS]
-            part = slice(s, s + k.size)
-            work = held[:k.size] if scratch is None else scratch[part]
-            yield part, _usable(k, full_well, flags[:k.size], work)
-
-    return walk()
+    return ((slice(s, s + SLAB_PIXELS), _usable(px[s:s + SLAB_PIXELS], full_well))
+            for s in range(0, px.size, SLAB_PIXELS))
 
 
 def default_usable_mask(key: RawImage, full_well: int) -> np.ndarray:
@@ -112,12 +102,11 @@ def embed(key: RawImage, cover: RawImage, bits: np.ndarray, full_well: int,
     g = min(block_pixels, key.pixel_count + 1)
     out = np.empty(key.pixels.shape, dtype=key.pixels.dtype)
     flat_out, flat_key, flat_cover = (im.reshape(-1) for im in (out, key.pixels, cover.pixels))
-    slabs = _slabs(key, full_well, g, flat_out)  # each slab of out is written last
+    slabs = _slabs(key, full_well, g)
     bits = np.asarray(bits).reshape(-1)
     if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("bits must all be 0 or 1")
     bits = bits.astype(np.uint8, copy=False)
-    cover_flags = np.empty(min(out.size, SLAB_PIXELS), dtype=bool)
     rank = 0
     for part, m in slabs:
         used = int(np.count_nonzero(m))
@@ -129,7 +118,7 @@ def embed(key: RawImage, cover: RawImage, bits: np.ndarray, full_well: int,
         where = np.zeros(m.shape, dtype=bool)
         where[m] = row[lead:lead + used]
         k, c, o = flat_key[part], flat_cover[part], flat_out[part]
-        where &= _usable(c, full_well, cover_flags[:m.size], o)
+        where &= _usable(c, full_well)
         # k ^ ((k ^ c) * where) in place: a masked copy mispredicts a branch per pixel
         np.bitwise_xor(k, c, out=o)
         o *= where

@@ -328,6 +328,33 @@ def test_usable_rule_at_every_value(full_well):
     assert np.array_equal(embed(key, cover, bits, full_well, 1).pixels, want)
 
 
+@pytest.mark.parametrize("full_well", [50000.5, np.float64(5e4)])
+def test_full_well_must_be_an_integer(full_well):
+    """A full well is a count: a float is refused by the sensor and by every
+    function that applies the usable rule, where a fractional one would
+    break DARK_FLOOR <= v < full_well at v = 50000, and a numpy integer acts
+    as the equal int."""
+    values = np.arange(1 << 16, dtype=np.uint16).reshape(256, 256)
+    key, cover = RawImage(256, 256, values), RawImage(256, 256, values[::-1, ::-1].copy())
+    bits = np.ones(capacity_bits(key, 50000, 1), dtype=np.uint8)
+    with pytest.raises(TypeError):
+        SensorConfig(full_well=full_well)
+    with pytest.raises(TypeError):
+        capacity_bits(key, full_well, 1)
+    with pytest.raises(TypeError):
+        embed(key, cover, bits, full_well, 1)
+    with pytest.raises(TypeError):
+        extract(cover, key, full_well, 1)
+    scene = make_scene(64, 64, "pcb", 2e4)
+    assert capture(scene, SensorConfig(full_well=np.int64(50000)), 0) == \
+        capture(scene, SensorConfig(full_well=50000), 0)
+    assert capacity_bits(key, np.int64(50000), 1) == len(bits)
+    want = embed(key, cover, bits, 50000, 1)
+    assert embed(key, cover, bits, np.int64(50000), 1) == want
+    got, again = (extract(want, key, w, 1) for w in (50000, np.int64(50000)))
+    assert np.array_equal(got.bits, again.bits) and got.raw_mismatch_count == again.raw_mismatch_count
+
+
 @pytest.mark.parametrize("full_well", [0, -3, 65536, 70000])
 def test_default_mask_rejects_full_well_out_of_range(full_well):
     """Every function that applies the usable rule refuses the full well."""
