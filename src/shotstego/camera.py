@@ -111,6 +111,7 @@ class SceneRadiance:
     lam: np.ndarray  # float64, shape (height, width), all in [0, MAX_LEVEL]
 
     def __post_init__(self):
+        self.width, self.height = operator.index(self.width), operator.index(self.height)
         if self.width < 1 or self.height < 1:
             raise ValueError("scene dimensions must be >= 1")
         lam = np.asarray(self.lam, dtype=np.float64)

@@ -120,6 +120,7 @@ def _generator_products(nsym: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _check_parity(parity_symbols: int) -> None:
+    parity_symbols = operator.index(parity_symbols)  # a float parity raises TypeError
     if not (2 <= parity_symbols <= 254) or parity_symbols % 2 != 0:
         raise CodecError(
             f"parity_symbols must be even and in [2, 254], got {parity_symbols}"

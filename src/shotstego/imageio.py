@@ -7,6 +7,7 @@ separators, so write(read(x)) == x and read(write(img)) == img hold exactly.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -36,6 +37,7 @@ class RawImage:
     pixels: np.ndarray
 
     def __post_init__(self):
+        self.width, self.height = operator.index(self.width), operator.index(self.height)
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be >= 1")
         px = np.asarray(self.pixels)

@@ -365,10 +365,12 @@ def lsb_embed(img: RawImage, bits: np.ndarray) -> RawImage:
     """Replace each pixel's least-significant bit (replacement, not
     matching); the distortion this introduces is what the battery is
     calibrated to catch."""
-    bits = np.asarray(bits, dtype=np.uint16).reshape(-1)
+    bits = np.asarray(bits).reshape(-1)
     if bits.size != img.pixel_count:
         raise ValueError("bit vector length must equal pixel count")
-    out = (img.pixels.reshape(-1) & np.uint16(0xFFFE)) | bits
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ValueError("bits must all be 0 or 1")
+    out = (img.pixels.reshape(-1) & np.uint16(0xFFFE)) | bits.astype(np.uint16)
     return RawImage(width=img.width, height=img.height,
                     pixels=out.reshape(img.height, img.width))
 

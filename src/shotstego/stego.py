@@ -25,12 +25,13 @@ probability P(x)(1 - bp) and comes from the cover with probability bp P(x),
 an unusable x only from the key, so P(S = x) = P(x) for any share b of
 1-bits. A 1-bit whose cover pixels are all unusable reads as 0.
 
-One walker, `_slabs`, flags the usable pixels for every pass over the
-image, in slabs of SLAB_PIXELS. Its temporaries are slab-sized, made afresh
-per slab and held by no call, so the outputs are the only image-sized
-arrays. Grouping is rank arithmetic: the usable pixel of rank r, counted in
-row-major order over the whole image, belongs to bit r // g, and embed and
-extract carry r across slabs.
+One walker, `_slabs`, is the one gate for the full well and g (it takes
+and checks both, and caps g) and flags the usable pixels for every pass
+over the image, in slabs of SLAB_PIXELS. Its temporaries are slab-sized,
+made afresh per slab and held by no call, so the outputs are the only
+image-sized arrays. Grouping is rank arithmetic: the usable pixel of rank
+r in row-major order belongs to bit r // g; embed and extract carry r
+across slabs.
 """
 
 from __future__ import annotations
@@ -64,32 +65,34 @@ def _usable(px: np.ndarray, full_well: int) -> np.ndarray:
 
 
 def _slabs(key: RawImage, full_well: int, g: int = 1):
-    """Walk the key in slabs, flagging its usable pixels. A full well that
-    is not an integer in [1, 65535] or g < 1 is refused on the call, before
-    any slab. Yields the slab's pixel slice and its flags, fresh temporaries
-    of each slab; the walk holds no buffer."""
+    """Walk the key in slabs, flagging its usable pixels. A full well not an
+    integer in [1, 65535] or a g not an integer >= 1 is refused before any
+    slab. Returns g capped at one past the pixel count (a larger g leaves no
+    whole group either) and the walk: slab slices and their fresh flags."""
     full_well = operator.index(full_well)  # the compare is exact for integers only
     if not 1 <= full_well <= 65535:
         raise ValueError("full_well must be in [1, 65535] so counts fit 16 bits")
+    g = operator.index(g)
     if g < 1:
         raise ValueError("block_pixels must be >= 1")
     px = key.pixels.reshape(-1)
-    return ((slice(s, s + SLAB_PIXELS), _usable(px[s:s + SLAB_PIXELS], full_well))
+    walk = ((slice(s, s + SLAB_PIXELS), _usable(px[s:s + SLAB_PIXELS], full_well))
             for s in range(0, px.size, SLAB_PIXELS))
+    return min(g, px.size + 1), walk
 
 
 def default_usable_mask(key: RawImage, full_well: int) -> np.ndarray:
     """The usable pixels of the key as a (height, width) boolean array."""
     out = np.empty(key.pixels.shape, dtype=bool)
-    for part, m in _slabs(key, full_well):
+    for part, m in _slabs(key, full_well)[1]:
         out.reshape(-1)[part] = m
     return out
 
 
 def capacity_bits(key: RawImage, full_well: int, block_pixels: int) -> int:
     """Message bits the grouping holds: one per whole group of g usable pixels."""
-    slabs = _slabs(key, full_well, block_pixels)
-    return sum(int(np.count_nonzero(m)) for _, m in slabs) // block_pixels
+    g, slabs = _slabs(key, full_well, block_pixels)
+    return sum(int(np.count_nonzero(m)) for _, m in slabs) // g
 
 
 def embed(key: RawImage, cover: RawImage, bits: np.ndarray, full_well: int,
@@ -97,16 +100,13 @@ def embed(key: RawImage, cover: RawImage, bits: np.ndarray, full_well: int,
     """Assemble the stego image: a pixel of group b is the cover's if bits[b]
     is 1 and the cover is usable there; every other pixel is the key's."""
     check_same_dims(key, cover)
-    # every g past the pixel count leaves no whole group; capped, the
-    # zero padding below stays image-sized
-    g = min(block_pixels, key.pixel_count + 1)
+    g, slabs = _slabs(key, full_well, block_pixels)
     out = np.empty(key.pixels.shape, dtype=key.pixels.dtype)
     flat_out, flat_key, flat_cover = (im.reshape(-1) for im in (out, key.pixels, cover.pixels))
-    slabs = _slabs(key, full_well, g)
     bits = np.asarray(bits).reshape(-1)
-    if not ((bits == 0) | (bits == 1)).all():
+    pieces = (bits[s:s + SLAB_PIXELS] for s in range(0, bits.size, SLAB_PIXELS))
+    if not all(((p == 0) | (p == 1)).all() for p in pieces):  # slab-sized temporaries
         raise ValueError("bits must all be 0 or 1")
-    bits = bits.astype(np.uint8, copy=False)
     rank = 0
     for part, m in slabs:
         used = int(np.count_nonzero(m))
@@ -133,8 +133,7 @@ def extract(stego: RawImage, key: RawImage, full_well: int,
     """Recover bits by comparison: a group decodes to 1 iff any of its
     pixels differs from the key."""
     check_same_dims(stego, key)
-    g = min(block_pixels, key.pixel_count + 1)  # as in embed
-    slabs = _slabs(key, full_well, g)
+    g, slabs = _slabs(key, full_well, block_pixels)
     bits = np.zeros(-(-key.pixel_count // g), dtype=np.uint8)  # room for every group
     flat_stego, flat_key = stego.pixels.reshape(-1), key.pixels.reshape(-1)
     mismatches = rank = 0

@@ -36,6 +36,16 @@ def test_scene_rejects_bad_dimensions():
         camera.SceneRadiance(width=2, height=2, lam=np.full((2, 2), -1.0))
 
 
+def test_scene_dimensions_must_be_integers():
+    """A float dimension is refused, where it would fail later in capture;
+    a numpy integer acts as the equal int."""
+    with pytest.raises(TypeError):
+        camera.SceneRadiance(width=2.0, height=3.0, lam=np.zeros((3, 2)))
+    scene = camera.SceneRadiance(width=np.int64(2), height=np.int64(3), lam=np.full((3, 2), 9.0))
+    flat = make_scene(2, 3, "flat", 9.0)
+    assert capture(scene, SensorConfig(), 0) == capture(flat, SensorConfig(), 0)
+
+
 def test_pcb_produces_saturated_pixels():
     """Brute-force scan of a 64x64 capture: the bright tiles must clip."""
     img = capture(make_scene(64, 64, "pcb", 10000), SensorConfig(seed=1), 0)

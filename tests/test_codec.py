@@ -198,6 +198,17 @@ def test_rs_parity_validation():
         rs_encode(b"x", 256)
 
 
+def test_parity_must_be_an_integer():
+    """A float parity is refused, where coded_length would return a float;
+    a numpy integer acts as the equal int."""
+    coded = rs_encode(b"x", 8)
+    for call in (lambda p: codec.coded_length(100, p), lambda p: rs_encode(b"x", p),
+                 lambda p: rs_decode(coded, p), lambda p: rs_decode_stream(coded, p)):
+        with pytest.raises(TypeError):
+            call(8.0)
+        assert call(np.int64(8)) == call(8)
+
+
 def test_rs_wire_format_layout():
     """[len u32 BE][crc32 u32 BE][payload], blocks of 255-parity data plus
     parity, last block short."""

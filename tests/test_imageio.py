@@ -66,6 +66,19 @@ def test_truncated_and_trailing_data():
         read_pgm16(b"P5\n1 1\n65535\n" + bytes(4))
 
 
+def test_dimensions_must_be_integers():
+    """A float dimension is refused, where 2.0 would be written as a header
+    that read_pgm16 refuses; a numpy integer acts as the equal int."""
+    with pytest.raises(TypeError):
+        RawImage(width=2.0, height=3, pixels=np.zeros((3, 2), dtype=np.uint16))
+    with pytest.raises(TypeError):
+        RawImage(width=2, height=np.float64(3), pixels=np.zeros((3, 2), dtype=np.uint16))
+    img = RawImage(width=np.int64(2), height=np.int64(3),
+                   pixels=np.arange(6, dtype=np.uint16).reshape(3, 2))
+    assert write_pgm16(img) == write_pgm16(img_from(range(6), 2, 3))
+    assert read_pgm16(write_pgm16(img)) == img and img.pixel_count == 6
+
+
 def test_pixel_invariants():
     with pytest.raises(ValueError, match="dimensions"):
         RawImage(width=0, height=1, pixels=np.zeros((1, 0), dtype=np.uint16))

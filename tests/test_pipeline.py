@@ -160,6 +160,7 @@ def exchange_2048():
     stego_img = stego.embed(key, cover, bits, 50000, 16)
     capacity_g1 = stego.capacity_bits(key, 50000, 1)
     perm_g1 = codec.mixing_permutation(capacity_g1 // 8, 3)
+    bits_g1 = codec.scatter(coded, perm_g1, capacity_g1, 3)
 
     def embed_message():
         res = pipeline.embed_message(key, cover, payload, parity_symbols=32, mixing_seed=3,
@@ -175,6 +176,7 @@ def exchange_2048():
     return {
         "default_usable_mask": (lambda: stego.default_usable_mask(key, 50000).nbytes, 2e6),
         "embed": (lambda: stego.embed(key, cover, bits, 50000, 16).pixels.nbytes, 2e6),
+        "embed g=1": (lambda: stego.embed(key, cover, bits_g1, 50000, 1).pixels.nbytes, 2e6),
         "extract": (lambda: stego.extract(stego_img, key, 50000, 16).bits.nbytes, 2e6),
         "scatter": (lambda: codec.scatter(coded, perm, capacity, 3).nbytes, 2e6),
         "gather": (lambda: len(codec.gather(bits, perm)), 2e6),
@@ -185,7 +187,7 @@ def exchange_2048():
 
 
 @pytest.mark.parametrize("call", ["default_usable_mask", "embed", "extract", "scatter", "gather",
-                                  "scatter g=1", "embed_message", "extract_message"])
+                                  "scatter g=1", "embed g=1", "embed_message", "extract_message"])
 def test_exchange_memory_stays_bounded(exchange_2048, call):
     """Each call of a 2048^2 exchange allocates little beyond what it
     returns: after a warm-up call, the traced peak is at most 2 MB above the

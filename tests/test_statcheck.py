@@ -279,6 +279,17 @@ def test_lsb_length_checked():
         lsb_embed(img, np.zeros(10, dtype=np.uint8))
 
 
+@pytest.mark.parametrize("value", [2, -1, 0.5])
+def test_lsb_rejects_bits_other_than_0_and_1(value):
+    """As in stego.embed: cast unchecked, a 2 would set bit 1 and a 0.5
+    would read as 0."""
+    img = flat_capture(10, n=16)
+    bits = np.ones(img.pixel_count, dtype=np.asarray(value).dtype)
+    bits[-1] = value
+    with pytest.raises(ValueError, match="0 or 1"):
+        lsb_embed(img, bits)
+
+
 def test_lsb_kl_separation_from_clean_floor():
     """Balanced random bits on a flat capture: the KL between the region's
     original histogram and its LSB-embedded histogram clears the clean-pair

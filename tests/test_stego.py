@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shotstego import codec, stego
+from shotstego import codec, pipeline, stego
 from shotstego.camera import DEFAULT_FULL_WELL, SensorConfig, capture, capture_pair, make_scene
 from shotstego.imageio import RawImage
 from shotstego.stego import (
@@ -140,6 +140,17 @@ def test_embed_rejects_bits_other_than_0_and_1(value):
     key, cover = small_pair(seed=82, n=32)
     bits = np.ones(key.pixel_count, dtype=np.asarray(value).dtype)
     bits[-1] = value
+    with pytest.raises(ValueError, match="0 or 1"):
+        embed(key, cover, bits, every_pixel(key), 1)
+
+
+def test_embed_checks_every_bit_before_the_length():
+    """The bits are checked in slab-sized pieces, each of them, and before
+    the group count: a bad bit in the last piece of an overlong vector is
+    reported as a bad bit."""
+    key, cover = small_pair(seed=82, n=32)
+    bits = np.ones(2 * stego.SLAB_PIXELS + 1, dtype=np.uint8)
+    bits[-1] = 2
     with pytest.raises(ValueError, match="0 or 1"):
         embed(key, cover, bits, every_pixel(key), 1)
 
@@ -352,6 +363,28 @@ def test_full_well_must_be_an_integer(full_well):
     want = embed(key, cover, bits, 50000, 1)
     assert embed(key, cover, bits, np.int64(50000), 1) == want
     got, again = (extract(want, key, w, 1) for w in (50000, np.int64(50000)))
+    assert np.array_equal(got.bits, again.bits) and got.raw_mismatch_count == again.raw_mismatch_count
+
+
+@pytest.mark.parametrize("g", [2.5, 16.0])
+def test_block_pixels_must_be_an_integer(g):
+    """The group size is a count both sides share, like the full well: a
+    float is refused by every function that groups, where 2.5 would give a
+    fractional capacity, and a numpy integer acts as the equal int."""
+    key, cover = small_pair(seed=87, n=64, pattern="pcb")
+    with pytest.raises(TypeError):
+        capacity_bits(key, 50000, g)
+    with pytest.raises(TypeError):
+        embed(key, cover, np.zeros(0, dtype=np.uint8), 50000, g)
+    with pytest.raises(TypeError):
+        extract(cover, key, 50000, g)
+    with pytest.raises(TypeError):
+        pipeline.embed_message(key, cover, b"x", block_pixels=g, full_well=50000)
+    assert capacity_bits(key, 50000, np.int64(16)) == capacity_bits(key, 50000, 16)
+    bits = codec.keyed_filler_bits(capacity_bits(key, 50000, 16), 5)
+    want = embed(key, cover, bits, 50000, 16)
+    assert embed(key, cover, bits, 50000, np.int64(16)) == want
+    got, again = (extract(want, key, 50000, g) for g in (16, np.int64(16)))
     assert np.array_equal(got.bits, again.bits) and got.raw_mismatch_count == again.raw_mismatch_count
 
 
